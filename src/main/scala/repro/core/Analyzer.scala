@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 /** The Analyzer tool (paper Sec. 5.2): computes per-sample statistics across
   * a default set of 13 dimensions (sample perplexity, word count, flagged
   * word percentage, line lengths, …) WITHOUT filtering anything — possible
-  * because Filters decouple `computeStats` from `process` — and summarizes
+  * because Filters decouple `computeStatsRow` from `keepRow` — and summarizes
   * each dimension with count / mean / std / min / max / quantile points.
   * The summary DataFrame is the "data probe" driving recipe refinement.
   */

@@ -190,7 +190,7 @@ object Deduplicators {
     }
 
     def process(df: DataFrame): DataFrame = {
-      val sigs = df.select(col(Schema.Id), col(HashCol) as "sig").localCheckpoint(true)
+      val (sigs, input) = OpUtil.materialize(df, HashCol)
       val bandKey = udf { (sig: Seq[Long], band: Int) =>
         MurmurHash3.arrayHash(sig.slice(band * rows, (band + 1) * rows).toArray, seed)
       }
@@ -211,7 +211,7 @@ object Deduplicators {
         .join(sigs.withColumnRenamed(Schema.Id, "dst").withColumnRenamed("sig", "sigB"), "dst")
         .filter(estJaccard(col("sigA"), col("sigB")) >= jaccard)
         .select("src", "dst")
-      ConnectedComponents.keepClusterHeads(df.drop(HashCol), verified)
+      ConnectedComponents.keepClusterHeads(input, verified)
     }
   }
 
@@ -230,7 +230,7 @@ object Deduplicators {
     }
 
     def process(df: DataFrame): DataFrame = {
-      val sigs = df.select(col(Schema.Id), col(HashCol) as "sig").localCheckpoint(true)
+      val (sigs, input) = OpUtil.materialize(df, HashCol)
       val blockOf = udf { (sig: Long, block: Int) => (sig >>> (block * BlockBits)) & 0xffffL }
       val buckets = sigs
         .withColumn("block", explode(lit((0 until Blocks).toArray)))
@@ -246,7 +246,7 @@ object Deduplicators {
         .join(sigs.withColumnRenamed(Schema.Id, "dst").withColumnRenamed("sig", "sigB"), "dst")
         .filter(ham(col("sigA"), col("sigB")) <= hammingMax)
         .select("src", "dst")
-      ConnectedComponents.keepClusterHeads(df.drop(HashCol), verified)
+      ConnectedComponents.keepClusterHeads(input, verified)
     }
   }
 

@@ -24,7 +24,7 @@ object WordLists {
 /** The Filter pool: conditional sample removal OPs (paper Table 1: filter by
   * stats, meta-info, model scores, external resources). Each filter writes
   * its statistics into the `stats` map (decoupled `compute_stats`) and keeps
-  * samples via a threshold predicate (`process`).
+  * samples via a threshold predicate (`keepRow`).
   */
 object Filters {
   import WordLists._

@@ -9,16 +9,15 @@ import org.apache.spark.sql.functions.{col, udf}
   *  - [[Formatter]]     dataset-level load/unification into [[Schema]];
   *  - [[Mapper]]        single-sample in-place text editing;
   *  - [[Filter]]        conditional sample removal with the stats computation
-  *                      (`computeStats`) decoupled from the boolean decision
-  *                      (`process`) — the decoupling the paper highlights so
+  *                      (`computeStatsRow`) decoupled from the boolean decision
+  *                      (`keepRow`) — the decoupling the paper highlights so
   *                      the Analyzer can reuse full-dataset statistics;
   *  - [[Deduplicator]]  dataset-level duplicate removal, with fingerprinting
   *                      (`computeHash`) decoupled from removal (`process`).
   *
-  * Every OP exposes a row-level pure function alongside its DataFrame form.
-  * The DataFrame form is what [[Pipeline]] executes; the row-level form is
-  * reused by the distributed-runtime simulator (`repro.dist`) and by
-  * reference-equivalence tests.
+  * Mappers, Filters and MetaFilters are [[RowOp]]s: they expose row-level
+  * pure functions, which [[RowStage]] interprets for the Spark pipeline and
+  * the distributed-runtime simulator (`repro.dist`) alike.
   */
 sealed trait Op extends Serializable {
   /** snake_case registry name, e.g. `text_length_filter`. */
@@ -40,24 +39,27 @@ trait Formatter extends Op {
   override def apply(df: DataFrame): DataFrame = Schema.ensure(df)
 }
 
+/** A row-level OP: it reads one sample at a time and never sees the rest
+  * of the dataset. [[RowStage]] is the only interpreter of these OPs; on a
+  * DataFrame, one OP runs as a one-OP [[RowStage]] pass.
+  */
+sealed trait RowOp extends Op {
+  override def apply(df: DataFrame): DataFrame = RowStage.run(df, Seq(this))
+}
+
 /** Single-sample in-place text editing (paper: "Mappers"). */
-trait Mapper extends Op {
+trait Mapper extends RowOp {
   /** Row-level edit; must accept any string including empty. */
   def mapText(text: String): String
-
-  override def apply(df: DataFrame): DataFrame = {
-    val f = udf((t: String) => mapText(if (t == null) "" else t))
-    df.withColumn(Schema.Text, f(col(Schema.Text)))
-  }
 }
 
 /** Conditional sample removal (paper: "Filters", Listing 1).
   *
-  * `computeStats` fills the sample's `stats` map (skipping samples whose
-  * stats are already present, so an Analyzer pre-pass is reused rather than
-  * recomputed); `process` keeps samples whose stats satisfy `keepRow`.
+  * `computeStatsRow` fills the sample's `stats` entries and `keepRow`
+  * decides on them. The split lets the Analyzer run the stats without
+  * filtering (`computeStats`).
   */
-trait Filter extends Op {
+trait Filter extends RowOp {
   /** Keys this filter writes into the `stats` map. */
   def statsKeys: Seq[String]
 
@@ -75,33 +77,28 @@ trait Filter extends Op {
   /** Row-level decision over this filter's stats entries. */
   def keepRow(stats: Map[String, Double]): Boolean
 
+  /** `prev` plus this filter's stats of `text` (null reads as ""). If every
+    * key is already present, `prev` is reused rather than recomputed, so an
+    * Analyzer pre-pass is not paid twice.
+    */
+  final def withStats(prev: Map[String, Double], text: String): Map[String, Double] =
+    if (statsKeys.forall(prev.contains)) prev
+    else prev ++ computeStatsRow(new TextContext(if (text == null) "" else text))
+
+  /** Fill `stats` without filtering (the Analyzer's stats-only pass). */
   def computeStats(df: DataFrame): DataFrame = {
-    val keys = statsKeys
     val f = udf { (t: String, s: Map[String, Double]) =>
-      val prev = if (s == null) Map.empty[String, Double] else s
-      if (keys.forall(prev.contains)) prev
-      else prev ++ computeStatsRow(new TextContext(if (t == null) "" else t))
+      withStats(if (s == null) Map.empty else s, t)
     }
     df.withColumn(Schema.Stats, f(col(Schema.Text), col(Schema.Stats)))
   }
-
-  def process(df: DataFrame): DataFrame = {
-    val f = udf((s: Map[String, Double]) => keepRow(if (s == null) Map.empty else s))
-    df.filter(f(col(Schema.Stats)))
-  }
-
-  override def apply(df: DataFrame): DataFrame = process(computeStats(df))
 }
 
 /** Filters whose decision depends on `meta`, not text stats (e.g. language
   * tags, GitHub star counts). They take part in reordering as cost-0 OPs.
   */
-trait MetaFilter extends Op {
+trait MetaFilter extends RowOp {
   def keepMeta(meta: Map[String, String]): Boolean
-  override def apply(df: DataFrame): DataFrame = {
-    val f = udf((m: Map[String, String]) => keepMeta(if (m == null) Map.empty else m))
-    df.filter(f(col(Schema.Meta)))
-  }
 }
 
 /** Dataset-level duplicate removal (paper: "Deduplicators", Listing 1). */
@@ -132,5 +129,14 @@ private[core] object OpUtil {
     df.withColumn("__dj_rn", F.row_number().over(w))
       .filter(col("__dj_rn") === 1)
       .drop("__dj_rn")
+  }
+
+  /** Materialize a near-duplicate Deduplicator's input once, since it reads
+    * it twice (signatures, then the kept rows): otherwise every upstream OP
+    * runs twice per row. Returns `(id, sig)` and the input without `hashCol`.
+    */
+  def materialize(df: DataFrame, hashCol: String): (DataFrame, DataFrame) = {
+    val staged = df.localCheckpoint(true)
+    (staged.select(col(Schema.Id), col(hashCol).as("sig")), staged.drop(hashCol))
   }
 }

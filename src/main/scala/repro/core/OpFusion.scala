@@ -1,10 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, udf}
-
-/** A fused Filter: the stats of every member are computed by ONE UDF over ONE
-  * shared [[TextContext]] per sample, and the keep decision is the
+/** A fused Filter: the stats of every member are computed in ONE call over
+  * ONE shared [[TextContext]] per sample, and the keep decision is the
   * conjunction of the members' decisions (paper Sec. 7 / Fig. 6: fusible OPs
   * "share the same contexts or computation sub-procedures" and are
   * "amalgamated into a single fused OP"). Contexts are per-sample locals, so

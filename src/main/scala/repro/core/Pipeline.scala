@@ -22,45 +22,47 @@ final case class Pipeline(
   /** The OP list actually executed, after fusion/reordering. */
   lazy val planned: Seq[Op] = OpFusion.plan(ops, fuse, reorder)
 
-  /** Run the pipeline. With a cache manager, the longest already-cached
-    * prefix of the (planned) OP chain is loaded instead of recomputed, and
-    * every subsequently produced OP output is persisted.
+  /** Run the pipeline. Each maximal run of planned row-level OPs between
+    * Deduplicators runs as one [[RowStage]] pass. With a cache manager or a
+    * tracer every OP runs as its own pass, since both need each OP's output:
+    * the longest already-cached prefix of the planned chain is loaded
+    * instead of recomputed, and every OP output produced is persisted.
     */
   def run(input: DataFrame): DataFrame = {
     val df0 = Schema.ensure(input)
-    cache match {
-      case None =>
-        planned.foldLeft(df0) { (df, op) =>
-          val out = applyOne(op, df)
-          tracer.foreach(_.record(op, df, out))
-          out
-        }
-      case Some(cm) =>
-        // Hash chain over OP signatures; find the longest cached prefix.
-        val keys = planned.scanLeft(cm.inputKey(inputId))((k, op) => cm.chainKey(k, op))
-        val lastHit = keys.zipWithIndex.reverse.find { case (k, _) => cm.has(k) }
-        var (df, start) = lastHit match {
-          case Some((k, i)) => (cm.load(k), i) // keys(i) is the output of op i-1 (or the input for i=0)
-          case None =>
-            // Persist the loaded/unified input itself (the paper's "one cache
-            // data file for the original dataset").
-            (cm.save(df0, keys.head, None), 0)
-        }
-        var prevKey = keys(start)
-        planned.drop(start).zipWithIndex.foreach { case (op, j) =>
-          val out = applyOne(op, df)
-          tracer.foreach(_.record(op, df, out))
-          val key = keys(start + j + 1)
-          // The original dataset's cache (keys.head) is never evicted — the
-          // checkpoint-mode peak is original + previous + in-flight = 3×S.
-          df = cm.save(out, key, Some(prevKey).filter(_ != keys.head))
-          prevKey = key
-        }
-        df
+    // Hash chain over OP signatures: keys(i) names the output of planned(i - 1),
+    // keys(0) the input.
+    val keys = cache.fold(Seq.empty[String])(cm =>
+      planned.scanLeft(cm.inputKey(inputId))((k, op) => cm.chainKey(k, op)))
+    val (start, resumed) = cache match {
+      case Some(cm) => keys.lastIndexWhere(cm.has) match {
+        // Persist the unified input itself (the paper's "one cache data file
+        // for the original dataset").
+        case -1  => (0, cm.save(df0, keys.head, None))
+        case hit => (hit, cm.load(keys(hit)))
+      }
+      case None => (0, df0)
     }
+    steps(planned.drop(start)).foldLeft((start, resumed)) { case ((i, df), step) =>
+      val out = step match {
+        case Seq(op) => op(df)
+        case rowOps  => RowStage.run(df, rowOps.collect { case r: RowOp => r })
+      }
+      tracer.foreach(_.record(step.head, df, out))
+      val next = i + step.size
+      // The original dataset's cache (keys.head) is never evicted — the
+      // checkpoint-mode peak is original + previous + in-flight = 3×S.
+      (next, cache.fold(out)(_.save(out, keys(next), Some(keys(i)).filter(_ != keys.head))))
+    }._2
   }
 
-  private def applyOne(op: Op, df: DataFrame): DataFrame = op(df)
+  /** Split `ops` into the passes [[run]] executes. */
+  private def steps(ops: Seq[Op]): Seq[Seq[Op]] =
+    if (cache.isDefined || tracer.isDefined) ops.map(Seq(_))
+    else ops.foldLeft(Vector.empty[Vector[Op]]) {
+      case (init :+ last, op: RowOp) if last.forall(_.isInstanceOf[RowOp]) => init :+ (last :+ op)
+      case (acc, op) => acc :+ Vector(op)
+    }
 }
 
 object Pipeline {

@@ -1,0 +1,57 @@
+package repro.core
+
+import org.apache.spark.sql.{DataFrame, Encoders, Row}
+
+/** The one interpreter of row-level OPs ([[Mapper]], [[Filter]],
+  * [[MetaFilter]]). The Spark pipeline, the `dist` simulator and the Fig. 8
+  * baseline all run rows through [[RowStage.apply]].
+  *
+  * A sample is `(text, meta, stats)`. Each OP runs at most once per sample,
+  * and interpretation stops at the first Filter or MetaFilter that rejects
+  * it. Every Filter reads a fresh [[TextContext]]; sharing one context
+  * between Filters is the job of [[FusedFilter]]. A Mapper that changes the
+  * text clears `stats`, so no later Filter decides on stats of the old text.
+  * Null text reads as "".
+  */
+object RowStage {
+
+  /** Interpret `ops` over one sample: the edited text and stats, or None if
+    * the sample is rejected. The text stays null only if no Mapper ran.
+    */
+  def apply(ops: Seq[RowOp], text: String, meta: Map[String, String],
+            stats: Map[String, Double]): Option[(String, Map[String, Double])] = {
+    var t = text
+    var s = stats
+    val it = ops.iterator
+    while (it.hasNext) it.next() match {
+      case m: Mapper =>
+        val edited = m.mapText(if (t == null) "" else t)
+        if (edited != t) { t = edited; s = Map.empty }
+      case f: Filter =>
+        s = f.withStats(s, t)
+        if (!f.keepRow(s)) return None
+      case f: MetaFilter =>
+        if (!f.keepMeta(meta)) return None
+    }
+    Some((t, s))
+  }
+
+  /** Run `ops` over a unified dataset as one opaque pass: Spark cannot split
+    * it, so Catalyst never re-evaluates an OP inside a later predicate. `id`
+    * and any extra columns pass through unchanged.
+    */
+  def run(df: DataFrame, ops: Seq[RowOp]): DataFrame = {
+    val schema = df.schema
+    val (ti, mi, si) =
+      (schema.fieldIndex(Schema.Text), schema.fieldIndex(Schema.Meta), schema.fieldIndex(Schema.Stats))
+    df.mapPartitions { rows =>
+      rows.flatMap { r =>
+        val meta = if (r.isNullAt(mi)) Map.empty[String, String] else r.getMap[String, String](mi).toMap
+        val stats = if (r.isNullAt(si)) Map.empty[String, Double] else r.getMap[String, Double](si).toMap
+        apply(ops, r.getString(ti), meta, stats).map { case (t, s) =>
+          Row.fromSeq(r.toSeq.updated(ti, t).updated(si, s))
+        }
+      }
+    }(Encoders.row(schema))
+  }
+}

@@ -14,7 +14,7 @@ import org.apache.spark.sql.types._
   *  - `meta`  : MapType(String, String) — metadata (language, source, tags, …)
   *              consumed by meta-based Filters and the Sampler;
   *  - `stats` : MapType(String, Double) — per-sample statistics produced by
-  *              `Filter.computeStats` and consumed by `Filter.process`, the
+  *              `Filter.computeStatsRow` and consumed by `Filter.keepRow`, the
   *              Analyzer and the Sampler (paper's stats/processing decoupling).
   *
   * The representation is deliberately flat-by-column and nested-by-map: it is

@@ -36,18 +36,12 @@ final class Tracer(val maxSamples: Int = 5) extends Serializable {
       val rows = diff.limit(maxSamples).collect()
         .map(r => (r.getLong(0), r.getString(1), Option(r.getString(2))))
       buf += Trace(op.name, "mapper", n, rows.toSeq)
-    case _: Filter | _: MetaFilter =>
+    case _: Filter | _: MetaFilter | _: Deduplicator =>
       val dropped = before.join(after.select(Schema.Id), Seq(Schema.Id), "left_anti")
       val n       = dropped.count()
       val rows    = dropped.select(col(Schema.Id), col(Schema.Text)).limit(maxSamples).collect()
         .map(r => (r.getLong(0), r.getString(1), Option.empty[String]))
-      buf += Trace(op.name, "filter", n, rows.toSeq)
-    case _: Deduplicator =>
-      val dropped = before.join(after.select(Schema.Id), Seq(Schema.Id), "left_anti")
-      val n       = dropped.count()
-      val rows    = dropped.select(col(Schema.Id), col(Schema.Text)).limit(maxSamples).collect()
-        .map(r => (r.getLong(0), r.getString(1), Option.empty[String]))
-      buf += Trace(op.name, "deduplicator", n, rows.toSeq)
+      buf += Trace(op.name, if (op.isInstanceOf[Deduplicator]) "deduplicator" else "filter", n, rows.toSeq)
     case _ =>
       buf += Trace(op.name, "other", 0L, Nil)
   }

@@ -8,7 +8,7 @@ import repro.core._
   * Fig. 10). The paper runs the same OP pipeline on Ray and on Beam/Flink
   * across 1–16 servers; we simulate a cluster with a worker-thread pool per
   * "node" over sharded input, executing the *row-level* forms of exactly the
-  * same OP objects the Spark pipeline runs.
+  * same OP objects the Spark pipeline runs, through the same row function.
   *
   * Two executors reproduce the two observed scaling behaviours:
   *  - [[RayLikeExecutor]]: loading AND processing are shard-parallel across
@@ -46,27 +46,19 @@ object DistExecutor {
     Doc(parts(0).toLong, text, meta)
   }
 
-  /** Apply the row-level pipeline to one doc; None = filtered out. */
-  def applyRow(ops: Seq[Op], doc: Doc): Option[Doc] = {
-    var text = doc.text
-    var keep = true
-    var stats = Map.empty[String, Double]
-    ops.foreach {
-      case m: Mapper if keep => text = m.mapText(text)
-      case f: Filter if keep =>
-        val ctx = new TextContext(text)
-        stats = stats ++ f.computeStatsRow(ctx)
-        keep = f.keepRow(stats)
-      case mf: MetaFilter if keep => keep = mf.keepMeta(doc.meta)
-      case _: Deduplicator => () // handled globally after the parallel phase
-      case _ => ()
-    }
-    if (keep) Some(doc.copy(text = text)) else None
+  /** The row-level OPs of `ops` over `docs`, through the shared row
+    * function ([[RowStage]]); Deduplicators are left to [[dedupGlobal]].
+    */
+  def processRows(docs: Seq[Doc], ops: Seq[Op]): Seq[Doc] = {
+    val rowOps = ops.collect { case r: RowOp => r }
+    docs.flatMap(d => RowStage(rowOps, d.text, d.meta, Map.empty).map { case (t, _) => d.copy(text = t) })
   }
 
-  /** Global exact-dedup resolution, keep-first by id (the shuffle analog). */
-  private def dedupGlobal(docs: Seq[Doc], hasDedup: Boolean): Seq[Doc] =
-    if (!hasDedup) docs
+  /** Global exact-dedup resolution, keep-first by id (the shuffle analog);
+    * the identity if `ops` holds no Deduplicator.
+    */
+  def dedupGlobal(docs: Seq[Doc], ops: Seq[Op]): Seq[Doc] =
+    if (!ops.exists(_.isInstanceOf[Deduplicator])) docs
     else docs.sortBy(_.id).foldLeft((Set.empty[Long], Vector.empty[Doc])) {
       case ((seen, acc), d) =>
         val h = Hashing.contentHash(d.text)
@@ -100,10 +92,10 @@ object DistExecutor {
           }).asJava).asScala.map(_.get()).toSeq
         }
         val (processed, procMs) = timed {
-          val outs = pool.invokeAll(parsedShards.map(s => new Callable[Vector[Doc]] {
-            def call(): Vector[Doc] = s.flatMap(d => applyRow(ops, d))
+          val outs = pool.invokeAll(parsedShards.map(s => new Callable[Seq[Doc]] {
+            def call(): Seq[Doc] = processRows(s, ops)
           }).asJava).asScala.map(_.get())
-          dedupGlobal(outs.flatten.toSeq, ops.exists(_.isInstanceOf[Deduplicator]))
+          dedupGlobal(outs.flatten.toSeq, ops)
         }
         RunResult(processed, loadMs, procMs)
       } finally { pool.shutdown(); pool.awaitTermination(60, TimeUnit.SECONDS) }
@@ -119,10 +111,10 @@ object DistExecutor {
       try {
         val (parsed, loadMs) = timed { lines.map(parse) }
         val (processed, procMs) = timed {
-          val outs = pool.invokeAll(shard(parsed, nodes).map(s => new Callable[Vector[Doc]] {
-            def call(): Vector[Doc] = s.flatMap(d => applyRow(ops, d))
+          val outs = pool.invokeAll(shard(parsed, nodes).map(s => new Callable[Seq[Doc]] {
+            def call(): Seq[Doc] = processRows(s, ops)
           }).asJava).asScala.map(_.get())
-          dedupGlobal(outs.flatten.toSeq, ops.exists(_.isInstanceOf[Deduplicator]))
+          dedupGlobal(outs.flatten.toSeq, ops)
         }
         RunResult(processed, loadMs, procMs)
       } finally { pool.shutdown(); pool.awaitTermination(60, TimeUnit.SECONDS) }

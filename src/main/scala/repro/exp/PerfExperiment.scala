@@ -49,23 +49,17 @@ object PerfExperiment {
   /** The row-level ops of the shared recipe (same objects Spark runs). */
   private def ops: Seq[Op] = Recipes.fusion14.ops
 
-  private def runBaselineRows(docs: Array[DistExecutor.Doc]): Long = {
-    val out = docs.flatMap(d => DistExecutor.applyRow(ops, d))
-    out.foldLeft((Set.empty[Long], 0L)) { case ((seen, n), d) =>
-      val h = Hashing.contentHash(d.text)
-      if (seen(h)) (seen, n) else (seen + h, n + 1)
-    }._2
-  }
-
   /** Single-threaded collect-and-loop baseline over the same OP objects. */
   def baseline(df: DataFrame): (Long, Long, Long) = {
     val rows = df.select(Schema.Id, Schema.Text).collect() // loads everything at once
     val memBytes = rows.map(r => 16L + 2L * Option(r.getString(1)).map(_.length).getOrElse(0)).sum
-    val docs = rows.sortBy(_.getLong(0))
+    val docs = rows.toSeq.sortBy(_.getLong(0))
       .map(r => DistExecutor.Doc(r.getLong(0), r.getString(1), Map.empty))
-    runBaselineRows(docs.take(300)) // JIT warm-up, uncounted
+    def loop(ds: Seq[DistExecutor.Doc]): Long =
+      DistExecutor.dedupGlobal(DistExecutor.processRows(ds, ops), ops).size.toLong
+    loop(docs.take(300)) // JIT warm-up, uncounted
     val t0 = System.nanoTime()
-    val n = runBaselineRows(docs)
+    val n = loop(docs)
     ((System.nanoTime() - t0) / 1000000L, memBytes, n)
   }
 

@@ -46,4 +46,15 @@ class PipelineSpec extends SparkSpec with TestData {
     val filterThenMap = Pipeline(Seq(Filters.TextLengthFilter(5), Mappers.LowercaseMapper())).run(df)
     assert(texts(filterThenMap) == Seq("shouting text with many words here ok"))
   }
+
+  test("a Mapper that edits the text clears the stats computed before it") {
+    val html = "hello" + "&#160;" * 80 // the Mapper strips it to 5 chars
+    val plain = "plain text that no mapper edits and that is long enough"
+    val ops = Seq(Filters.TextLengthFilter(), Mappers.RemoveHtmlTagsMapper(), Filters.TextLengthFilter(minLen = 50))
+    Seq(Pipeline(ops), Pipeline(ops, tracer = Some(new Tracer()))).foreach { pipe =>
+      val out = pipe.run(docsDf(html, plain)).select(Schema.Text, Schema.Stats).collect()
+      assert(out.map(_.getString(0)).toSeq == Seq(plain))
+      assert(out(0).getMap[String, Double](1)("text_len") == plain.length)
+    }
+  }
 }

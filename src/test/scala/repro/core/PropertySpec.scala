@@ -93,11 +93,11 @@ class PropertySpec extends AnyFunSuite {
   }
 
   test("dist row pipeline composes like manual application") {
-    val ops: Seq[Op] = Seq(Mappers.LowercaseMapper(), Filters.TextLengthFilter(minLen = 5))
+    val ops: Seq[RowOp] = Seq(Mappers.LowercaseMapper(), Filters.TextLengthFilter(minLen = 5))
     check("dist-row", Prop.forAll(textGen) { t =>
-      val viaExec = repro.dist.DistExecutor.applyRow(ops, repro.dist.DistExecutor.Doc(0L, t, Map.empty)).map(_.text)
+      val viaRow = RowStage(ops, t, Map.empty, Map.empty).map(_._1)
       val lowered = t.toLowerCase
-      viaExec == (if (lowered.length >= 5) Some(lowered) else None)
+      viaRow == (if (lowered.length >= 5) Some(lowered) else None)
     })
   }
 }
