@@ -2,7 +2,7 @@ package repro.core
 
 import java.nio.file.{Files, Path, Paths}
 import java.security.MessageDigest
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import scala.util.Try
 
 /** Cache / checkpoint management (paper Sec. 5.1.1 & 7, Appendix A.2).
@@ -18,6 +18,8 @@ import scala.util.Try
   *
   * Modes:
   *  - `cache`      — keep every OP's output (max storage, min recompute);
+  *                   all outputs of a run of row-level OPs are written by
+  *                   one job ([[CacheManager.saveRun]]);
   *  - `checkpoint` — keep only the latest OP's output, deleting the
   *                   predecessor after a successful write (paper: ≤ 3×S peak).
   *
@@ -59,8 +61,35 @@ final class CacheManager(
     load(key)
   }
 
-  def delete(key: String): Unit = {
-    val p = path(key)
+  /** Persist every OP output of a row run in one write job (cache mode).
+    * `staged` is a [[RowStage.staged]] frame; its rows of stage `k` are the
+    * entry under `keys(k)`. Each entry is moved into place before its
+    * `_SUCCESS` marker is written, so an interrupted save leaves no entry
+    * that [[has]] accepts. A stage no row reached gets an empty entry.
+    * Returns the last entry.
+    */
+  def saveRun(staged: DataFrame, keys: Seq[String]): DataFrame = {
+    require(mode == CacheManager.ModeCache, "a row run is saved whole only in cache mode")
+    val staging = Paths.get(dir, s"_staging-${java.util.UUID.randomUUID()}")
+    try {
+      staged.write.option("compression", compression).partitionBy(RowStage.StageCol).parquet(staging.toString)
+      val schema = staged.drop(RowStage.StageCol).schema
+      keys.zipWithIndex.foreach { case (key, k) =>
+        delete(key)
+        val part = staging.resolve(s"${RowStage.StageCol}=$k")
+        if (Files.exists(part)) {
+          Files.move(part, path(key))
+          Files.createFile(path(key).resolve("_SUCCESS"))
+        } else spark.createDataFrame(java.util.Collections.emptyList[Row](), schema)
+          .write.option("compression", compression).parquet(path(key).toString)
+      }
+    } finally delete(staging)
+    load(keys.last)
+  }
+
+  def delete(key: String): Unit = delete(path(key))
+
+  private def delete(p: Path): Unit = {
     if (Files.exists(p)) {
       Files.walk(p).sorted(java.util.Comparator.reverseOrder[Path]())
         .forEach(f => Try(Files.delete(f)))

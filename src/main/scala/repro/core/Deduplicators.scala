@@ -74,6 +74,8 @@ object Hashing {
 /** Distributed connected components over an undirected edge list, via
   * iterative min-label propagation (the standard bounded-diameter dataflow
   * formulation). Used to turn LSH candidate pairs into duplicate clusters.
+  * A graph whose labels still change after `maxIter` rounds is an error, not
+  * a partial answer.
   */
 object ConnectedComponents {
   /** @param edges (src: Long, dst: Long) undirected
@@ -106,6 +108,8 @@ object ConnectedComponents {
       converged = changed == 0
       iter += 1
     }
+    if (!converged)
+      throw new IllegalStateException(s"connected components did not converge in $maxIter rounds")
     labels
   }
 

@@ -238,7 +238,11 @@ object Filters {
     val statsKeys = Seq("perplexity")
     val contexts = Set(ContextKey.Words)
     override val cost = 2
-    override def signature: String = s"PerplexityFilter($maxPpl,refSize=${refLogP.size},$oovLogP)"
+    /** The reference table enters the key as its size and an order-independent
+      * fingerprint, so equal-size tables do not share cache entries.
+      */
+    override lazy val signature: String =
+      s"PerplexityFilter($maxPpl,refSize=${refLogP.size},ref=${PerplexityFilter.fingerprint(refLogP)},$oovLogP)"
     def computeStatsRow(ctx: TextContext) = {
       val w = ctx.words
       val v =
@@ -252,6 +256,12 @@ object Filters {
     def keepRow(s: Map[String, Double]) = s("perplexity") <= maxPpl
   }
   object PerplexityFilter {
+    /** SHA-256 prefix of the table's entries in key order. */
+    def fingerprint(ref: Map[String, Double]): String =
+      java.security.MessageDigest.getInstance("SHA-256")
+        .digest(ref.toSeq.sorted.map { case (w, p) => s"$w=$p" }.mkString("\n").getBytes("UTF-8"))
+        .take(8).map("%02x".format(_)).mkString
+
     /** Default reference: Zipf over the stopword list with a modest mass on
       * everything else; enough to separate prose from token soup.
       */

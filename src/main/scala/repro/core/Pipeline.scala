@@ -23,10 +23,13 @@ final case class Pipeline(
   lazy val planned: Seq[Op] = OpFusion.plan(ops, fuse, reorder)
 
   /** Run the pipeline. Each maximal run of planned row-level OPs between
-    * Deduplicators runs as one [[RowStage]] pass. With a cache manager or a
-    * tracer every OP runs as its own pass, since both need each OP's output:
-    * the longest already-cached prefix of the planned chain is loaded
-    * instead of recomputed, and every OP output produced is persisted.
+    * Deduplicators runs as one [[RowStage]] pass; only a tracer, which
+    * inspects each OP's input and output, makes every OP its own pass. With a
+    * cache manager the longest already-cached prefix of the planned chain is
+    * loaded instead of recomputed. In cache mode the pass of a run of several
+    * row OPs keeps every OP's output and [[CacheManager.saveRun]] writes all
+    * of them in one job; in checkpoint mode, which keeps only the latest
+    * entry, the pass saves its output alone.
     */
   def run(input: DataFrame): DataFrame = {
     val df0 = Schema.ensure(input)
@@ -44,21 +47,30 @@ final case class Pipeline(
       case None => (0, df0)
     }
     steps(planned.drop(start)).foldLeft((start, resumed)) { case ((i, df), step) =>
+      val next = i + step.size
+      // A single OP's entry is written directly; staging pays off only when
+      // one job writes several entries.
+      val savesRun = step.size > 1 && cache.exists(_.mode == CacheManager.ModeCache)
       val out = step match {
         case Seq(op) => op(df)
-        case rowOps  => RowStage.run(df, rowOps.collect { case r: RowOp => r })
+        case rowRun =>
+          val rowOps = rowRun.collect { case r: RowOp => r }
+          if (savesRun) cache.get.saveRun(RowStage.staged(df, rowOps), keys.slice(i + 1, next + 1))
+          else RowStage.run(df, rowOps)
       }
       tracer.foreach(_.record(step.head, df, out))
-      val next = i + step.size
       // The original dataset's cache (keys.head) is never evicted — the
       // checkpoint-mode peak is original + previous + in-flight = 3×S.
-      (next, cache.fold(out)(_.save(out, keys(next), Some(keys(i)).filter(_ != keys.head))))
+      (next, if (savesRun) out else cache.fold(out)(_.save(out, keys(next), Some(keys(i)).filter(_ != keys.head))))
     }._2
   }
 
-  /** Split `ops` into the passes [[run]] executes. */
+  /** Split `ops` into the passes [[run]] executes: each Deduplicator alone,
+    * each maximal run of row-level OPs together (one OP per pass under a
+    * tracer).
+    */
   private def steps(ops: Seq[Op]): Seq[Seq[Op]] =
-    if (cache.isDefined || tracer.isDefined) ops.map(Seq(_))
+    if (tracer.isDefined) ops.map(Seq(_))
     else ops.foldLeft(Vector.empty[Vector[Op]]) {
       case (init :+ last, op: RowOp) if last.forall(_.isInstanceOf[RowOp]) => init :+ (last :+ op)
       case (acc, op) => acc :+ Vector(op)

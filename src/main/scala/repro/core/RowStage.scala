@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.types.IntegerType
+import scala.collection.mutable.ArrayBuffer
 
 /** The one interpreter of row-level OPs ([[Mapper]], [[Filter]],
   * [[MetaFilter]]). The Spark pipeline, the `dist` simulator and the Fig. 8
@@ -15,23 +17,37 @@ import org.apache.spark.sql.{DataFrame, Encoders, Row}
   */
 object RowStage {
 
+  /** Per-OP output hook: called with the OP's index in the sequence and the
+    * sample's text and stats after every OP the sample passes.
+    */
+  trait Emit { def apply(op: Int, text: String, stats: Map[String, Double]): Unit }
+
+  /** Column of a [[staged]] frame: the index of the OP whose output a row is. */
+  val StageCol = "__dj_stage"
+
   /** Interpret `ops` over one sample: the edited text and stats, or None if
     * the sample is rejected. The text stays null only if no Mapper ran.
+    * `emit`, if given, sees the sample after each OP it passes.
     */
   def apply(ops: Seq[RowOp], text: String, meta: Map[String, String],
-            stats: Map[String, Double]): Option[(String, Map[String, Double])] = {
+            stats: Map[String, Double], emit: Emit = null): Option[(String, Map[String, Double])] = {
     var t = text
     var s = stats
+    var i = 0
     val it = ops.iterator
-    while (it.hasNext) it.next() match {
-      case m: Mapper =>
-        val edited = m.mapText(if (t == null) "" else t)
-        if (edited != t) { t = edited; s = Map.empty }
-      case f: Filter =>
-        s = f.withStats(s, t)
-        if (!f.keepRow(s)) return None
-      case f: MetaFilter =>
-        if (!f.keepMeta(meta)) return None
+    while (it.hasNext) {
+      it.next() match {
+        case m: Mapper =>
+          val edited = m.mapText(if (t == null) "" else t)
+          if (edited != t) { t = edited; s = Map.empty }
+        case f: Filter =>
+          s = f.withStats(s, t)
+          if (!f.keepRow(s)) return None
+        case f: MetaFilter =>
+          if (!f.keepMeta(meta)) return None
+      }
+      if (emit != null) emit(i, t, s)
+      i += 1
     }
     Some((t, s))
   }
@@ -40,7 +56,15 @@ object RowStage {
     * it, so Catalyst never re-evaluates an OP inside a later predicate. `id`
     * and any extra columns pass through unchanged.
     */
-  def run(df: DataFrame, ops: Seq[RowOp]): DataFrame = {
+  def run(df: DataFrame, ops: Seq[RowOp]): DataFrame = pass(df, ops, staged = false)
+
+  /** One pass that keeps every OP's output: each row appears once per OP it
+    * passes, as that OP left it, with the OP's index in [[StageCol]]. The
+    * cache writes all entries of a row run from it in one job.
+    */
+  def staged(df: DataFrame, ops: Seq[RowOp]): DataFrame = pass(df, ops, staged = true)
+
+  private def pass(df: DataFrame, ops: Seq[RowOp], staged: Boolean): DataFrame = {
     val schema = df.schema
     val (ti, mi, si) =
       (schema.fieldIndex(Schema.Text), schema.fieldIndex(Schema.Meta), schema.fieldIndex(Schema.Stats))
@@ -48,10 +72,13 @@ object RowStage {
       rows.flatMap { r =>
         val meta = if (r.isNullAt(mi)) Map.empty[String, String] else r.getMap[String, String](mi).toMap
         val stats = if (r.isNullAt(si)) Map.empty[String, Double] else r.getMap[String, Double](si).toMap
-        apply(ops, r.getString(ti), meta, stats).map { case (t, s) =>
-          Row.fromSeq(r.toSeq.updated(ti, t).updated(si, s))
-        }
+        def edited(t: String, s: Map[String, Double]) = r.toSeq.updated(ti, t).updated(si, s)
+        if (staged) {
+          val out = ArrayBuffer.empty[Row]
+          apply(ops, r.getString(ti), meta, stats, (i, t, s) => out += Row.fromSeq(edited(t, s) :+ i))
+          out
+        } else apply(ops, r.getString(ti), meta, stats).map { case (t, s) => Row.fromSeq(edited(t, s)) }
       }
-    }(Encoders.row(schema))
+    }(Encoders.row(if (staged) schema.add(StageCol, IntegerType, nullable = false) else schema))
   }
 }

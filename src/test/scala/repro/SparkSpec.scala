@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +17,34 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The Spark jobs `block` starts (counted by a SparkListener on a job
+    * group of its own) and its result.
+    */
+  def countJobs[T](block: => T): (Int, T) = {
+    val sc = spark.sparkContext
+    val group = s"count-jobs-${java.util.UUID.randomUUID()}"
+    val jobs = new java.util.concurrent.atomic.AtomicInteger()
+    val drained = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).foreach { g =>
+          if (g == group) jobs.incrementAndGet()
+          else if (g == s"$group-end") drained.countDown()
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted block")
+      val result = try block finally sc.clearJobGroup()
+      // Listener events arrive in order, so once a marker job is seen every
+      // job of the block has been counted.
+      sc.setJobGroup(s"$group-end", "job count marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      assert(drained.await(60, java.util.concurrent.TimeUnit.SECONDS), "listener bus did not drain")
+      (jobs.get, result)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

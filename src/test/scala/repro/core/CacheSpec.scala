@@ -1,6 +1,7 @@
 package repro.core
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData}
 
 class CacheSpec extends SparkSpec with TestData {
@@ -91,6 +92,88 @@ class CacheSpec extends SparkSpec with TestData {
   test("op signatures are stable and parameter-sensitive") {
     assert(Filters.TextLengthFilter(5, 10).signature == Filters.TextLengthFilter(5, 10).signature)
     assert(Filters.TextLengthFilter(5, 10).signature != Filters.TextLengthFilter(6, 10).signature)
-    assert(Filters.PerplexityFilter(100).signature.contains("refSize")) // model table elided from key
+    assert(Filters.PerplexityFilter(100).signature.contains("refSize"))
+  }
+
+  test("perplexity signature keys the reference table, not only its size") {
+    val a = Map("alpha" -> -1.0, "beta" -> -2.0)
+    val b = Map("alpha" -> -1.0, "gamma" -> -2.0)
+    val reordered = Map("beta" -> -2.0, "alpha" -> -1.0)
+    assert(Filters.PerplexityFilter(100, a).signature != Filters.PerplexityFilter(100, b).signature)
+    assert(Filters.PerplexityFilter(100, a).signature == Filters.PerplexityFilter(100, reordered).signature)
+    assert(Filters.PerplexityFilter(100, a.updated("beta", -3.0)).signature != Filters.PerplexityFilter(100, a).signature)
+  }
+
+  private val rowDocs = (0 until 40).map { i =>
+    val body = s"The document number $i is a perfectly fine sentence with the usual words in it"
+    if (i % 6 == 0) "tiny"
+    else if (i % 5 == 0) s"<div><p>$body</p></div>"
+    else if (i % 7 == 0) s"damn hell damn $body"
+    else if (i % 4 == 1) body.toUpperCase
+    else body
+  }
+
+  /** Rows by id as (id, text, stats). */
+  private def rowsOf(df: DataFrame): Seq[(Long, String, Map[String, Double])] =
+    df.select(Schema.Id, Schema.Text, Schema.Stats).collect().map { r =>
+      (r.getLong(0), r.getString(1), if (r.isNullAt(2)) Map.empty[String, Double] else r.getMap[String, Double](2).toMap)
+    }.toSeq.sortBy(_._1)
+
+  private def keysOf(cm: CacheManager, pipe: Pipeline): Seq[String] =
+    pipe.planned.scanLeft(cm.inputKey(pipe.inputId))((k, op) => cm.chainKey(k, op))
+
+  test("a cached cold run starts as many Spark jobs for 6 row OPs as for 2") {
+    import Mappers._, Filters._
+    val df = docsDf(rowDocs: _*)
+    val rowOps: Seq[Op] = Seq(LowercaseMapper(), TextLengthFilter(minLen = 2), WhitespaceNormalizationMapper(),
+      WordCountFilter(minWords = 1), RemoveHtmlTagsMapper(), AlphanumericRatioFilter(min = 0.1))
+    val jobs = Seq(2, 6).map { k =>
+      val cm = newManager()
+      val pipe = Pipeline(rowOps.take(k) :+ Deduplicators.ExactDocDeduplicator(), cache = Some(cm))
+      val (n, _) = countJobs(pipe.run(df))
+      assert(cm.entries.size == k + 2)
+      n
+    }
+    info(s"Spark jobs for 2 and 6 row OPs: ${jobs.mkString(" and ")}")
+    assert(jobs.head == jobs.last, s"jobs for 2 vs 6 row OPs: ${jobs.mkString(" vs ")}")
+  }
+
+  for (fuse <- Seq(false, true))
+    test(s"every entry of a row run equals the uncached output of its prefix (fuse=$fuse)") {
+      import Mappers._, Filters._
+      val df = docsDf(rowDocs: _*)
+      val ops: Seq[Op] = Seq(FixUnicodeMapper(), RemoveHtmlTagsMapper(), WhitespaceNormalizationMapper(),
+        TextLengthFilter(10), WordCountFilter(3), StopwordRatioFilter(0.1), FlaggedWordsFilter(0.01),
+        WordRepetitionFilter(5, 0.3), Deduplicators.ExactDocDeduplicator(), LowercaseMapper(), TextLengthFilter(70))
+      val cm = newManager()
+      val pipe = Pipeline(ops, fuse = fuse, reorder = fuse, cache = Some(cm))
+      pipe.run(df).count()
+      val keys = keysOf(cm, pipe)
+      assert(cm.entries.sorted == keys.distinct.sorted)
+      keys.indices.foreach { k =>
+        assert(rowsOf(cm.load(keys(k))) == rowsOf(Pipeline(pipe.planned.take(k)).run(df)), s"entry $k")
+      }
+    }
+
+  test("a Filter that rejects every row leaves empty entries a rerun resumes from") {
+    import Mappers._, Filters._
+    val df = docsDf(rowDocs: _*)
+    val ops: Seq[Op] = Seq(LowercaseMapper(), TextLengthFilter(minLen = 10000), WordCountFilter(minWords = 1),
+      Deduplicators.ExactDocDeduplicator())
+    val cm = newManager()
+    val pipe = Pipeline(ops, cache = Some(cm))
+    assert(pipe.run(df).count() == 0)
+    val keys = keysOf(cm, pipe)
+    val unified = cm.load(keys(1)).schema
+    (2 to 4).foreach { k =>
+      val entry = cm.load(keys(k))
+      assert(entry.schema == unified, s"entry $k")
+      assert(entry.count() == 0, s"entry $k")
+    }
+    val entries = cm.entries
+    val (jobs, rerun) = countJobs(Pipeline(ops, cache = Some(cm)).run(df).collect())
+    assert(rerun.isEmpty)
+    assert(cm.entries == entries)
+    assert(jobs <= 2, s"a resumed rerun should only load the last entry, ran $jobs jobs")
   }
 }

@@ -54,6 +54,14 @@ class DedupSpec extends SparkSpec with TestData {
     assert(comp.values.toSet == Set(0L))
   }
 
+  test("connected components fails loudly when it does not converge") {
+    val session = spark
+    import session.implicits._
+    val edges = (0L until 40L).map(i => (i, i + 1)).toDF("src", "dst")
+    val e = intercept[IllegalStateException](ConnectedComponents.run(spark, edges))
+    assert(e.getMessage.contains("did not converge in 25 rounds"))
+  }
+
   test("exact doc dedup keeps first occurrence") {
     val df = docsDf("same doc", "same  DOC", "different entirely")
     val out = ExactDocDeduplicator()(df)

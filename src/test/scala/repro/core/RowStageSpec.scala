@@ -65,8 +65,10 @@ class RowStageSpec extends SparkSpec with TestData {
         FlaggedWordsFilter(0.01), WordRepetitionFilter(5, 0.3), Deduplicators.ExactDocDeduplicator()),
       "mapper, minhash dedup" -> Seq(WhitespaceNormalizationMapper(), Deduplicators.MinHashDeduplicator()))
     fuse <- Seq(false, true)
-  } test(s"each row-level OP runs once per row that reaches it ($recipe, fuse=$fuse)") {
-    val pipe = Pipeline(counted(ops), fuse = fuse, reorder = fuse)
+    cached <- Seq(false, true)
+  } test(s"each row-level OP runs once per row that reaches it ($recipe, fuse=$fuse${if (cached) ", cached" else ""})") {
+    val cache = Option.when(cached)(new CacheManager(spark, java.nio.file.Files.createTempDirectory("djcache").toString))
+    val pipe = Pipeline(counted(ops), fuse = fuse, reorder = fuse, cache = cache)
     // The input is checkpointed, since the optimizer would fold OPs over a
     // local relation into a constant; the output is collected whole, as a
     // write would, so no column pruning hides a re-evaluation.
