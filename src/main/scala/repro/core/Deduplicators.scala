@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Observation, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.util.hashing.MurmurHash3
@@ -74,8 +74,14 @@ object Hashing {
 /** Distributed connected components over an undirected edge list, via
   * iterative min-label propagation (the standard bounded-diameter dataflow
   * formulation). Used to turn LSH candidate pairs into duplicate clusters.
-  * A graph whose labels still change after `maxIter` rounds is an error, not
-  * a partial answer.
+  *
+  * Round 0 labels each vertex straight from the edge list with the minimum of
+  * itself and its neighbours. Every later round is one aggregation that also
+  * carries each vertex's previous label; an `Observation` on the round's eager
+  * checkpoint counts the labels that changed, so deciding whether to stop
+  * costs no Spark job of its own. A k-edge chain takes k + 1 rounds, and a
+  * graph whose labels still change after `maxIter` rounds is an error, not a
+  * partial answer.
   */
 object ConnectedComponents {
   /** @param edges (src: Long, dst: Long) undirected
@@ -87,30 +93,38 @@ object ConnectedComponents {
       .select(least(col("src"), col("dst")) as "src", greatest(col("src"), col("dst")) as "dst")
       .distinct()
       .localCheckpoint(true)
-    var labels = e.select(col("src") as "id").union(e.select(col("dst") as "id"))
-      .distinct().withColumn("comp", col("id"))
-      .localCheckpoint(true)
-    var converged = false
-    var iter = 0
-    while (!converged && iter < maxIter) {
-      // Candidate labels flowing across each edge, both directions.
-      val bySrc = e.join(labels.withColumnRenamed("id", "src"), "src")
-        .select(col("dst") as "id", col("comp"))
-      val byDst = e.join(labels.withColumnRenamed("id", "dst"), "dst")
-        .select(col("src") as "id", col("comp"))
-      val next = labels.select(col("id"), col("comp"))
-        .union(bySrc).union(byDst)
-        .groupBy("id").agg(min("comp") as "comp")
-        .localCheckpoint(true)
-      val changed = next.join(labels.withColumnRenamed("comp", "prev"), "id")
-        .filter(col("comp") =!= col("prev")).limit(1).count()
+    // Each edge in both directions, so one join sends labels across all edges.
+    val adj = e.union(e.select(col("dst") as "src", col("src") as "dst"))
+    // Round 0: each vertex takes the least of itself and its neighbours.
+    var (labels, changed) = settle(
+      adj.select(col("src") as "id", least(col("src"), col("dst")) as "comp", col("src") as "prev"))
+    var rounds = 1
+    while (changed > 0 && rounds < maxIter) {
+      // Only a vertex's own row carries its previous label.
+      val sent = adj.join(labels.withColumnRenamed("id", "src"), "src")
+        .select(col("dst") as "id", col("comp"), lit(null).cast("long") as "prev")
+      val (next, n) = settle(labels.select(col("id"), col("comp"), col("comp") as "prev").union(sent))
       labels = next
-      converged = changed == 0
-      iter += 1
+      changed = n
+      rounds += 1
     }
-    if (!converged)
+    if (changed > 0)
       throw new IllegalStateException(s"connected components did not converge in $maxIter rounds")
     labels
+  }
+
+  /** One round's labels from candidate rows `(id, comp, prev)`: the least
+    * `comp` per id, checkpointed, with the number of ids whose label differs
+    * from their least `prev`, counted by the checkpoint's own job.
+    */
+  private def settle(candidates: DataFrame): (DataFrame, Long) = {
+    val changes = Observation()
+    val labels = candidates
+      .groupBy("id").agg(min("comp") as "comp", min("prev") as "prev")
+      .observe(changes, count(when(col("comp") =!= col("prev"), 1)) as "changed")
+      .select("id", "comp")
+      .localCheckpoint(true)
+    (labels, changes.get("changed").asInstanceOf[Long])
   }
 
   /** Keep one row per duplicate cluster: components from `edges` lose all but

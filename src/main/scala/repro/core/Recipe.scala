@@ -5,30 +5,38 @@ import scala.jdk.CollectionConverters._
 
 /** Typed access into the loosely-typed parameter maps parsed from YAML
   * recipes (numbers arrive as java.lang.Integer/Double, lists as
-  * java.util.List, …).
+  * java.util.List, …). It remembers which keys were asked for, so the
+  * registry can reject the ones no parameter reads.
   */
 final case class OpParams(raw: Map[String, Any]) {
-  def int(key: String, default: Int): Int = raw.get(key).map {
+  private val read = scala.collection.mutable.Set.empty[String]
+
+  /** The keys asked for so far, present or not. */
+  def keysRead: Set[String] = read.toSet
+
+  private def get(key: String): Option[Any] = { read += key; raw.get(key) }
+
+  def int(key: String, default: Int): Int = get(key).map {
     case n: Number => n.intValue
     case s: String => s.toInt
     case other     => sys.error(s"param $key: expected int, got $other")
   }.getOrElse(default)
 
-  def long(key: String, default: Long): Long = raw.get(key).map {
+  def long(key: String, default: Long): Long = get(key).map {
     case n: Number => n.longValue
     case s: String => s.toLong
     case other     => sys.error(s"param $key: expected long, got $other")
   }.getOrElse(default)
 
-  def double(key: String, default: Double): Double = raw.get(key).map {
+  def double(key: String, default: Double): Double = get(key).map {
     case n: Number => n.doubleValue
     case s: String => s.toDouble
     case other     => sys.error(s"param $key: expected double, got $other")
   }.getOrElse(default)
 
-  def string(key: String, default: String): String = raw.get(key).map(_.toString).getOrElse(default)
+  def string(key: String, default: String): String = get(key).map(_.toString).getOrElse(default)
 
-  def strings(key: String, default: Seq[String]): Seq[String] = raw.get(key).map {
+  def strings(key: String, default: Seq[String]): Seq[String] = get(key).map {
     case l: java.util.List[_] => l.asScala.map(_.toString).toSeq
     case l: Seq[_]            => l.map(_.toString)
     case s: String            => s.split(",").map(_.trim).toSeq
@@ -118,9 +126,20 @@ object OpRegistry {
     spec("simhash_deduplicator", "deduplicator", Seq("general"))(p => SimHashDeduplicator(p.int("hamming_max", 3))),
   )
 
-  def build(name: String, params: Map[String, Any]): Op =
-    specs.getOrElse(name, sys.error(s"unknown OP '$name'; known: ${specs.keys.toSeq.sorted.mkString(", ")}"))
-      .build(OpParams(params))
+  /** Build OP `name`; an unknown OP or a key the OP never reads (a typo
+    * would otherwise fall back to the default silently) is an error.
+    */
+  def build(name: String, params: Map[String, Any]): Op = {
+    val spec = specs.getOrElse(name, throw new IllegalArgumentException(
+      s"unknown OP '$name'; known: ${specs.keys.toSeq.sorted.mkString(", ")}"))
+    val p = OpParams(params)
+    val op = spec.build(p)
+    val unknown = params.keySet -- p.keysRead
+    require(unknown.isEmpty,
+      s"OP '$name' has no parameter ${unknown.toSeq.sorted.map(k => s"'$k'").mkString(", ")}; " +
+        s"it reads: ${if (p.keysRead.isEmpty) "none" else p.keysRead.toSeq.sorted.mkString(", ")}")
+    op
+  }
 
   def size: Int = specs.size
 }
@@ -146,14 +165,14 @@ final case class Recipe(name: String, opSpecs: Seq[(String, Map[String, Any])]) 
                tracer: Option[Tracer] = None, cache: Option[CacheManager] = None): Pipeline =
     Pipeline(ops, fuse, reorder, tracer, cache, inputId = name)
 
-  /** Apply `opName.param=value` overrides; unknown OP names are an error
-    * (typos must not silently no-op).
+  /** Apply `opName.param=value` overrides. A malformed override, an OP not in
+    * the recipe and a parameter the OP does not read are errors (typos must
+    * not silently no-op).
     */
   def withOverrides(overrides: Seq[String]): Recipe = {
-    val parsed = overrides.map { o =>
-      val Array(path, value) = o.split("=", 2)
-      val Array(op, param)   = path.split("\\.", 2)
-      (op, param, value)
+    val parsed = overrides.map {
+      case Recipe.Override(op, param, value) => (op, param, value)
+      case o => throw new IllegalArgumentException(s"malformed override '$o': expected opName.param=value")
     }
     parsed.foreach { case (op, _, _) =>
       require(opSpecs.exists(_._1 == op), s"override targets unknown OP '$op' in recipe '$name'")
@@ -162,20 +181,23 @@ final case class Recipe(name: String, opSpecs: Seq[(String, Map[String, Any])]) 
       val mine = parsed.filter(_._1 == n)
       n -> mine.foldLeft(params) { case (ps, (_, k, v)) => ps + (k -> v) }
     }
-    copy(opSpecs = newSpecs)
+    copy(opSpecs = newSpecs).checked
   }
 
   /** Drop an OP ("subtraction" recipe editing). */
   def without(opName: String): Recipe = copy(opSpecs = opSpecs.filterNot(_._1 == opName))
 
   /** Append an OP ("addition" recipe editing). */
-  def add(opName: String, params: Map[String, Any] = Map.empty): Recipe = {
-    require(OpRegistry.specs.contains(opName), s"unknown OP '$opName'")
-    copy(opSpecs = opSpecs :+ (opName -> params))
-  }
+  def add(opName: String, params: Map[String, Any] = Map.empty): Recipe =
+    copy(opSpecs = opSpecs :+ (opName -> params)).checked
+
+  /** Build every OP once, so a bad OP or parameter fails now, not at the first run. */
+  private def checked: Recipe = { ops; this }
 }
 
 object Recipe {
+  private val Override = """([^.=]+)\.([^=]+)=(.*)""".r
+
   /** Parse a recipe from YAML text. */
   def fromYaml(yaml: String): Recipe = {
     val root = new Yaml().load[java.util.Map[String, Object]](yaml)
@@ -195,9 +217,7 @@ object Recipe {
         opName -> ps
       case other => sys.error(s"bad ops entry: $other")
     }
-    // Fail fast on unknown OPs at parse time, not first run.
-    ops.foreach { case (n, _) => require(OpRegistry.specs.contains(n), s"unknown OP '$n'") }
-    Recipe(name, ops)
+    Recipe(name, ops).checked
   }
 
   def fromFile(path: String): Recipe =

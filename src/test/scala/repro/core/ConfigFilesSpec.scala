@@ -32,4 +32,14 @@ class ConfigFilesSpec extends SparkSpec with TestData {
     assert(ids(out) == Seq(0L))
     assert(!texts(out).head.contains("Copyright"))
   }
+
+  test("every recipe file under configs/ and djbench/recipes/ loads and builds") {
+    val files = Seq(dir, "djbench/recipes").flatMap { d =>
+      val listed = new java.io.File(d).listFiles()
+      assert(listed != null, s"no directory $d")
+      listed.filter(_.getName.endsWith(".yaml")).map(_.getPath)
+    }
+    assert(files.size >= 5, files.mkString(", "))
+    files.foreach(f => assert(Recipe.fromFile(f).ops.nonEmpty, f))
+  }
 }

@@ -5,6 +5,11 @@ import repro.core.Deduplicators._
 
 class DedupSpec extends SparkSpec with TestData {
 
+  // Jobs per label-propagation round: the edge and label shuffles of the
+  // join, the aggregation shuffle and the checkpoint (AQE makes each shuffle
+  // stage a job of its own).
+  private val PerRoundJobs = 4.0
+
   test("contentHash normalizes whitespace and case") {
     assert(Hashing.contentHash("Hello  World") == Hashing.contentHash("hello world"))
     assert(Hashing.contentHash("a") != Hashing.contentHash("b"))
@@ -60,6 +65,57 @@ class DedupSpec extends SparkSpec with TestData {
     val edges = (0L until 40L).map(i => (i, i + 1)).toDF("src", "dst")
     val e = intercept[IllegalStateException](ConnectedComponents.run(spark, edges))
     assert(e.getMessage.contains("did not converge in 25 rounds"))
+  }
+
+  private def chain(k: Int): Seq[(Long, Long)] = (0L until k.toLong).map(i => (i, i + 1))
+
+  private def edgesDf(edges: Seq[(Long, Long)]) = {
+    val session = spark
+    import session.implicits._
+    edges.toDF("src", "dst")
+  }
+
+  private def components(edges: Seq[(Long, Long)], maxIter: Int = 25): Map[Long, Long] =
+    ConnectedComponents.run(spark, edgesDf(edges), maxIter).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+
+  test("connected components round count: a k-edge chain needs k + 1 rounds") {
+    val comp = components(chain(5), maxIter = 6)
+    assert(comp.values.toSet == Set(0L) && comp.size == 6)
+    val e = intercept[IllegalStateException](components(chain(6), maxIter = 6))
+    assert(e.getMessage.contains("did not converge in 6 rounds"))
+  }
+
+  test("connected components equals a local union-find on random edge lists") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    val vertex = Gen.oneOf(-7L, 0L, 1L, 2L, 3L, 5L, 8L, 13L, 21L, 99L, 100L, 1L << 40)
+    val edgeLists = for {
+      n     <- Gen.choose(0, 12)
+      base  <- Gen.listOfN(n, Gen.zip(vertex, vertex))
+      loops <- Gen.someOf(vertex, vertex)
+      again <- Gen.someOf(base)
+      flip  <- Gen.someOf(base)
+    } yield base ++ loops.map(v => (v, v)) ++ again ++ flip.map(_.swap)
+    def unionFind(edges: Seq[(Long, Long)]): Map[Long, Long] = {
+      val parent = scala.collection.mutable.Map.empty[Long, Long]
+      def find(v: Long): Long = { val p = parent.getOrElseUpdate(v, v); if (p == v) v else find(p) }
+      for ((a, b) <- edges if a != b) {
+        val (ra, rb) = (find(a), find(b))
+        parent(math.max(ra, rb)) = math.min(ra, rb)
+      }
+      parent.keys.map(v => v -> find(v)).toMap
+    }
+    assert(components(Nil).isEmpty)
+    assert(components(Seq((4L, 4L), (6L, 6L))).isEmpty)
+    val prop = Prop.forAll(edgeLists)(edges => components(edges) == unionFind(edges))
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(20), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("connected components starts a bounded number of Spark jobs per round") {
+    val (jobs4, _) = countJobs(ConnectedComponents.run(spark, edgesDf(chain(4))))
+    val (jobs8, _) = countJobs(ConnectedComponents.run(spark, edgesDf(chain(8))))
+    info(s"Spark jobs for a 4-edge and an 8-edge chain: $jobs4 and $jobs8")
+    assert((jobs8 - jobs4) / 4.0 <= PerRoundJobs, s"$jobs4 vs $jobs8 jobs")
   }
 
   test("exact doc dedup keeps first occurrence") {

@@ -61,6 +61,31 @@ class RecipeSpec extends SparkSpec with TestData {
       Recipe.fromYaml(yaml).withOverrides(Seq("word_count_filter.min_words=2")))
   }
 
+  test("a malformed override is an error that names it") {
+    for (o <- Seq("text_length_filter", "min_len=3", "text_length_filter.=3")) {
+      val e = intercept[IllegalArgumentException](Recipe.fromYaml(yaml).withOverrides(Seq(o)))
+      assert(e.getMessage.contains(s"'$o'"), e.getMessage)
+    }
+  }
+
+  test("an override of a parameter the OP does not read is an error") {
+    val e = intercept[IllegalArgumentException](
+      Recipe.fromYaml(yaml).withOverrides(Seq("text_length_filter.minlen=3")))
+    assert(e.getMessage.contains("'text_length_filter'") && e.getMessage.contains("'minlen'"), e.getMessage)
+    assert(e.getMessage.contains("min_len"), e.getMessage)
+  }
+
+  test("a yaml parameter the OP does not read fails at parse time") {
+    val e = intercept[IllegalArgumentException](Recipe.fromYaml(yaml.replace("min_len", "minlen")))
+    assert(e.getMessage.contains("'text_length_filter'") && e.getMessage.contains("'minlen'"), e.getMessage)
+    val e2 = intercept[IllegalArgumentException](Recipe.fromYaml("name: x\nops:\n  - lowercase_mapper: {min_len: 3}\n"))
+    assert(e2.getMessage.contains("'lowercase_mapper'") && e2.getMessage.contains("reads: none"), e2.getMessage)
+  }
+
+  test("addition editing with a parameter the OP does not read is an error") {
+    assertThrows[IllegalArgumentException](Recipe.fromYaml(yaml).add("word_count_filter", Map("min_word" -> 3)))
+  }
+
   test("subtraction editing removes an op") {
     val r = Recipe.fromYaml(yaml).without("lowercase_mapper")
     assert(r.ops.map(_.name) == Seq("text_length_filter", "exact_doc_deduplicator"))
