@@ -29,12 +29,23 @@ object Analyzer {
     Filters.WordEntropyFilter(),         // word_entropy
   )
 
-  /** Compute the stats of every dimension for every sample (no filtering).
-    * Dimensions are fused into a single pass — the Analyzer benefits from
-    * the same context sharing as pipelines.
+  /** Compute the stats of every dimension for every sample (no filtering),
+    * all dimensions over one shared [[TextContext]] per sample. A sample that
+    * already carries every dimension's keys is left as is, so an earlier
+    * probe is not paid twice; otherwise every dimension is recomputed.
     */
-  def computeStats(df: DataFrame, dims: Seq[Filter] = defaultDims): DataFrame =
-    FusedFilter(dims).computeStats(Schema.ensure(df))
+  def computeStats(df: DataFrame, dims: Seq[Filter] = defaultDims): DataFrame = {
+    val keys = dims.flatMap(_.statsKeys)
+    val fill = udf { (t: String, s: Map[String, Double]) =>
+      val prev = if (s == null) Map.empty[String, Double] else s
+      if (keys.forall(prev.contains)) prev
+      else {
+        val ctx = new TextContext(if (t == null) "" else t)
+        dims.foldLeft(prev)(_ ++ _.computeStatsRow(ctx))
+      }
+    }
+    Schema.ensure(df).withColumn(Schema.Stats, fill(col(Schema.Text), col(Schema.Stats)))
+  }
 
   /** Summarize stats into one row per dimension:
     * (metric, count, mean, stddev, min, p25, p50, p75, p95, max).

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, functions => F}
-import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.sql.functions.col
 
 /** Base classes of the standardized OP pool (paper Sec. 4 and Listing 1).
   *
@@ -57,13 +57,13 @@ trait Mapper extends RowOp {
   *
   * `computeStatsRow` fills the sample's `stats` entries and `keepRow`
   * decides on them. The split lets the Analyzer run the stats without
-  * filtering (`computeStats`).
+  * filtering ([[Analyzer.computeStats]]).
   */
 trait Filter extends RowOp {
   /** Keys this filter writes into the `stats` map. */
   def statsKeys: Seq[String]
 
-  /** Shareable contexts consumed — drives fusion grouping. */
+  /** Shareable contexts consumed; they set the default [[cost]]. */
   def contexts: Set[ContextKey.Value]
 
   /** Relative cost hint for reordering: 0 = trivial char math, 1 = needs
@@ -76,22 +76,6 @@ trait Filter extends RowOp {
 
   /** Row-level decision over this filter's stats entries. */
   def keepRow(stats: Map[String, Double]): Boolean
-
-  /** `prev` plus this filter's stats of `text` (null reads as ""). If every
-    * key is already present, `prev` is reused rather than recomputed, so an
-    * Analyzer pre-pass is not paid twice.
-    */
-  final def withStats(prev: Map[String, Double], text: String): Map[String, Double] =
-    if (statsKeys.forall(prev.contains)) prev
-    else prev ++ computeStatsRow(new TextContext(if (text == null) "" else text))
-
-  /** Fill `stats` without filtering (the Analyzer's stats-only pass). */
-  def computeStats(df: DataFrame): DataFrame = {
-    val f = udf { (t: String, s: Map[String, Double]) =>
-      withStats(if (s == null) Map.empty else s, t)
-    }
-    df.withColumn(Schema.Stats, f(col(Schema.Text), col(Schema.Stats)))
-  }
 }
 
 /** Filters whose decision depends on `meta`, not text stats (e.g. language

@@ -1,70 +1,28 @@
 package repro.core
 
-/** A fused Filter: the stats of every member are computed in ONE call over
-  * ONE shared [[TextContext]] per sample, and the keep decision is the
-  * conjunction of the members' decisions (paper Sec. 7 / Fig. 6: fusible OPs
-  * "share the same contexts or computation sub-procedures" and are
-  * "amalgamated into a single fused OP"). Contexts are per-sample locals, so
-  * they are garbage-collected right after each sample — the paper's "contexts
-  * cleaned up after each fused OP, little extra memory".
-  */
-final case class FusedFilter(members: Seq[Filter]) extends Filter {
-  require(members.nonEmpty, "fused filter needs members")
-  val name = s"fused(${members.map(_.name).mkString(",")})"
-  val statsKeys: Seq[String] = members.flatMap(_.statsKeys).distinct
-  val contexts: Set[ContextKey.Value] = members.flatMap(_.contexts).toSet
-  override val cost: Int = members.map(_.cost).max
-
-  def computeStatsRow(ctx: TextContext): Map[String, Double] =
-    members.foldLeft(Map.empty[String, Double])((acc, f) => acc ++ f.computeStatsRow(ctx))
-
-  def keepRow(stats: Map[String, Double]): Boolean = members.forall(_.keepRow(stats))
-}
-
-/** The OP-list optimizer (paper Sec. 7, Fig. 6): detects groups of
-  * commutative consecutive Filters, fuses the context-sharing ones, and
-  * reorders each group so cheap OPs run before expensive (fused/model-backed)
-  * ones — the expensive OPs then see fewer samples.
+/** The OP-list optimizer (paper Sec. 7, Fig. 6): reorders each run of
+  * consecutive Filters so cheap OPs run before expensive (tokenizing or
+  * model-backed) ones, and the expensive OPs then see fewer samples.
   *
   * Correctness argument: consecutive Filters commute (each is a pure
   * per-sample predicate; conjunction order does not change the surviving
-  * set), so both fusion (conjunction in one pass) and reordering preserve the
-  * output dataset exactly. Mappers and Deduplicators are pipeline barriers —
-  * they are never moved across.
+  * set), so reordering preserves the output dataset exactly. Mappers and
+  * Deduplicators are barriers: nothing is moved across them. The other half
+  * of the paper's optimizer, fusion of context-sharing Filters, is not a
+  * plan rewrite: [[RowStage]] shares one [[TextContext]] per sample across
+  * the Filters of a row pass.
   */
 object OpFusion {
 
-  /** Greedily bucket a run of filters into fusible groups: a filter joins the
-    * first group whose accumulated context set intersects its own. Filters
-    * with no shareable context (pure char math) stay standalone.
+  /** Optimize an OP list: `reorder` sorts each commutative Filter run by
+    * ascending cost (stable).
     */
-  private[core] def fuseRun(run: Seq[Filter]): Seq[Filter] = {
-    val groups = scala.collection.mutable.ArrayBuffer.empty[scala.collection.mutable.ArrayBuffer[Filter]]
-    val standalone = scala.collection.mutable.ArrayBuffer.empty[Filter]
-    run.foreach { f =>
-      if (f.contexts.isEmpty) standalone += f
-      else groups.find(g => g.exists(_.contexts.intersect(f.contexts).nonEmpty)) match {
-        case Some(g) => g += f
-        case None    => groups += scala.collection.mutable.ArrayBuffer(f)
-      }
-    }
-    val fused = groups.map(g => if (g.size > 1) FusedFilter(g.toSeq) else g.head)
-    (standalone ++ fused).toSeq
-  }
-
-  /** Optimize an OP list. `fuse` merges context-sharing filter runs;
-    * `reorder` sorts each commutative run by ascending cost (stable).
-    */
-  def plan(ops: Seq[Op], fuse: Boolean = true, reorder: Boolean = true): Seq[Op] = {
+  def plan(ops: Seq[Op], reorder: Boolean = true): Seq[Op] = {
     val out = scala.collection.mutable.ArrayBuffer.empty[Op]
     val run = scala.collection.mutable.ArrayBuffer.empty[Filter]
     def flush(): Unit = {
-      if (run.nonEmpty) {
-        var rs: Seq[Filter] = if (fuse) fuseRun(run.toSeq) else run.toSeq
-        if (reorder) rs = rs.sortBy(_.cost)
-        out ++= rs
-        run.clear()
-      }
+      out ++= (if (reorder) run.sortBy(_.cost) else run)
+      run.clear()
     }
     ops.foreach {
       case f: Filter => run += f

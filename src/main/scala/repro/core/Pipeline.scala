@@ -3,9 +3,12 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 
 /** The end-to-end data processing executor (paper Fig. 1, yellow box): takes
-  * a unified dataset through an OP chain, optionally applying the OP-list
-  * optimizer ([[OpFusion]]), sample-level tracing ([[Tracer]]), and per-OP
-  * cache/checkpoint persistence ([[CacheManager]]) with hash-chain resume.
+  * a unified dataset through an OP chain, optionally applying OP fusion
+  * (`fuse`: the Filters of each row pass share one [[TextContext]] per
+  * sample, see [[RowStage]]), Filter reordering (`reorder`, [[OpFusion]]),
+  * sample-level tracing ([[Tracer]]), and per-OP cache/checkpoint
+  * persistence ([[CacheManager]]) with hash-chain resume. `fuse` changes how
+  * rows are computed, not what is planned, so cache keys do not depend on it.
   */
 final case class Pipeline(
     ops: Seq[Op],
@@ -19,8 +22,8 @@ final case class Pipeline(
     inputId: String = "input",
 ) {
 
-  /** The OP list actually executed, after fusion/reordering. */
-  lazy val planned: Seq[Op] = OpFusion.plan(ops, fuse, reorder)
+  /** The OP list actually executed, after reordering. */
+  lazy val planned: Seq[Op] = OpFusion.plan(ops, reorder)
 
   /** Run the pipeline. Each maximal run of planned row-level OPs between
     * Deduplicators runs as one [[RowStage]] pass; only a tracer, which
@@ -55,8 +58,8 @@ final case class Pipeline(
         case Seq(op) => op(df)
         case rowRun =>
           val rowOps = rowRun.collect { case r: RowOp => r }
-          if (savesRun) cache.get.saveRun(RowStage.staged(df, rowOps), keys.slice(i + 1, next + 1))
-          else RowStage.run(df, rowOps)
+          if (savesRun) cache.get.saveRun(RowStage.staged(df, rowOps, fuse), keys.slice(i + 1, next + 1))
+          else RowStage.run(df, rowOps, fuse)
       }
       tracer.foreach(_.record(step.head, df, out))
       // The original dataset's cache (keys.head) is never evicted — the

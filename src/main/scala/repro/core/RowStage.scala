@@ -10,10 +10,14 @@ import scala.collection.mutable.ArrayBuffer
   *
   * A sample is `(text, meta, stats)`. Each OP runs at most once per sample,
   * and interpretation stops at the first Filter or MetaFilter that rejects
-  * it. Every Filter reads a fresh [[TextContext]]; sharing one context
-  * between Filters is the job of [[FusedFilter]]. A Mapper that changes the
-  * text clears `stats`, so no later Filter decides on stats of the old text.
-  * Null text reads as "".
+  * it. A Filter whose stats keys are all present reuses them; otherwise it
+  * computes its stats over a [[TextContext]] of the current text. With
+  * `share` on (paper Sec. 7, OP fusion) one context per sample is built on
+  * the first Filter that needs stats and every later Filter reads it, so a
+  * view such as the word list is derived once; with `share` off each Filter
+  * builds its own. A Mapper that changes the text clears `stats` and drops
+  * the context, so no later Filter decides on the old text. Null text reads
+  * as "".
   */
 object RowStage {
 
@@ -27,21 +31,27 @@ object RowStage {
 
   /** Interpret `ops` over one sample: the edited text and stats, or None if
     * the sample is rejected. The text stays null only if no Mapper ran.
-    * `emit`, if given, sees the sample after each OP it passes.
+    * `emit`, if given, sees the sample after each OP it passes; `share`
+    * lets Filters read one context until a Mapper edits the text.
     */
   def apply(ops: Seq[RowOp], text: String, meta: Map[String, String],
-            stats: Map[String, Double], emit: Emit = null): Option[(String, Map[String, Double])] = {
+            stats: Map[String, Double], emit: Emit = null,
+            share: Boolean = false): Option[(String, Map[String, Double])] = {
     var t = text
     var s = stats
+    var ctx: TextContext = null
     var i = 0
     val it = ops.iterator
     while (it.hasNext) {
       it.next() match {
         case m: Mapper =>
           val edited = m.mapText(if (t == null) "" else t)
-          if (edited != t) { t = edited; s = Map.empty }
+          if (edited != t) { t = edited; s = Map.empty; ctx = null }
         case f: Filter =>
-          s = f.withStats(s, t)
+          if (!f.statsKeys.forall(s.contains)) {
+            if (ctx == null || !share) ctx = new TextContext(if (t == null) "" else t)
+            s = s ++ f.computeStatsRow(ctx)
+          }
           if (!f.keepRow(s)) return None
         case f: MetaFilter =>
           if (!f.keepMeta(meta)) return None
@@ -56,15 +66,17 @@ object RowStage {
     * it, so Catalyst never re-evaluates an OP inside a later predicate. `id`
     * and any extra columns pass through unchanged.
     */
-  def run(df: DataFrame, ops: Seq[RowOp]): DataFrame = pass(df, ops, staged = false)
+  def run(df: DataFrame, ops: Seq[RowOp], share: Boolean = false): DataFrame =
+    pass(df, ops, staged = false, share)
 
   /** One pass that keeps every OP's output: each row appears once per OP it
     * passes, as that OP left it, with the OP's index in [[StageCol]]. The
     * cache writes all entries of a row run from it in one job.
     */
-  def staged(df: DataFrame, ops: Seq[RowOp]): DataFrame = pass(df, ops, staged = true)
+  def staged(df: DataFrame, ops: Seq[RowOp], share: Boolean = false): DataFrame =
+    pass(df, ops, staged = true, share)
 
-  private def pass(df: DataFrame, ops: Seq[RowOp], staged: Boolean): DataFrame = {
+  private def pass(df: DataFrame, ops: Seq[RowOp], staged: Boolean, share: Boolean): DataFrame = {
     val schema = df.schema
     val (ti, mi, si) =
       (schema.fieldIndex(Schema.Text), schema.fieldIndex(Schema.Meta), schema.fieldIndex(Schema.Stats))
@@ -75,9 +87,9 @@ object RowStage {
         def edited(t: String, s: Map[String, Double]) = r.toSeq.updated(ti, t).updated(si, s)
         if (staged) {
           val out = ArrayBuffer.empty[Row]
-          apply(ops, r.getString(ti), meta, stats, (i, t, s) => out += Row.fromSeq(edited(t, s) :+ i))
+          apply(ops, r.getString(ti), meta, stats, (i, t, s) => out += Row.fromSeq(edited(t, s) :+ i), share)
           out
-        } else apply(ops, r.getString(ti), meta, stats).map { case (t, s) => Row.fromSeq(edited(t, s)) }
+        } else apply(ops, r.getString(ti), meta, stats, share = share).map { case (t, s) => Row.fromSeq(edited(t, s)) }
       }
     }(Encoders.row(if (staged) schema.add(StageCol, IntegerType, nullable = false) else schema))
   }

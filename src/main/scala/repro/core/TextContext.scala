@@ -3,12 +3,13 @@ package repro.core
 /** Shared per-sample computation contexts (paper Sec. 7, "context management").
   *
   * Several Filters need the same derived views of a sample — its word list,
-  * its line list, its lowercased form. In an unfused pipeline each Filter
-  * builds its own [[TextContext]] and therefore re-derives those views; a
-  * [[OpFusion fused]] filter group builds ONE context per sample and every
-  * member reads the lazily-computed field it needs. `lazy val` gives exactly
-  * the paper's semantics: a context variable is computed at most once per
-  * sample and only if some OP in the group actually consumes it.
+  * its line list, its lowercased form. Without fusion each Filter builds its
+  * own [[TextContext]] and therefore re-derives those views; with fusion
+  * [[RowStage]] builds ONE context per sample, keeps it until a Mapper edits
+  * the text, and every Filter reads the lazily-computed field it needs (the
+  * Analyzer does the same for its dimensions). `lazy val` gives exactly the
+  * paper's semantics: a context variable is computed at most once per sample
+  * and only if some OP actually consumes it.
   */
 final class TextContext(val text: String) {
   lazy val words: Array[String] = Tokenizers.words(text)
@@ -23,8 +24,8 @@ final class TextContext(val text: String) {
   def length: Int = if (text == null) 0 else text.length
 }
 
-/** Names of the shareable contexts an OP consumes — the fusion planner groups
-  * filters by overlapping context sets (paper Fig. 6).
+/** Names of the shareable contexts a Filter consumes ([[Filter.contexts]]);
+  * a Filter that needs none is cheap and is reordered first (paper Fig. 6).
   */
 object ContextKey extends Enumeration {
   val Words, Lines, Paragraphs, Chars = Value

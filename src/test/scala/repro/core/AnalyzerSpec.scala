@@ -23,6 +23,13 @@ class AnalyzerSpec extends SparkSpec with TestData {
     stats.foreach(s => assert(keys.subsetOf(s.keySet)))
   }
 
+  test("the 13 default dimensions tokenize each row at most once") {
+    val df = sample.localCheckpoint()
+    Tokenizers.wordCalls.set(0L)
+    val rows = Analyzer.computeStats(df).collect().length
+    assert(Tokenizers.wordCalls.get() <= rows, s"${Tokenizers.wordCalls.get()} tokenizer calls for $rows rows")
+  }
+
   test("summarize yields one row per metric with sane aggregates") {
     val summary = Analyzer.probe(sample).collect()
     assert(summary.length == 13)

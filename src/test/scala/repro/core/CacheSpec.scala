@@ -138,21 +138,38 @@ class CacheSpec extends SparkSpec with TestData {
     assert(jobs.head == jobs.last, s"jobs for 2 vs 6 row OPs: ${jobs.mkString(" vs ")}")
   }
 
+  /** Two row runs around an exact dedup, with a run of Words Filters. */
+  private def chainOps: Seq[Op] = {
+    import Mappers._, Filters._
+    Seq(FixUnicodeMapper(), RemoveHtmlTagsMapper(), WhitespaceNormalizationMapper(),
+      TextLengthFilter(10), WordCountFilter(3), StopwordRatioFilter(0.1), FlaggedWordsFilter(0.01),
+      WordRepetitionFilter(5, 0.3), Deduplicators.ExactDocDeduplicator(), LowercaseMapper(), TextLengthFilter(70))
+  }
+
   for (fuse <- Seq(false, true))
     test(s"every entry of a row run equals the uncached output of its prefix (fuse=$fuse)") {
-      import Mappers._, Filters._
       val df = docsDf(rowDocs: _*)
-      val ops: Seq[Op] = Seq(FixUnicodeMapper(), RemoveHtmlTagsMapper(), WhitespaceNormalizationMapper(),
-        TextLengthFilter(10), WordCountFilter(3), StopwordRatioFilter(0.1), FlaggedWordsFilter(0.01),
-        WordRepetitionFilter(5, 0.3), Deduplicators.ExactDocDeduplicator(), LowercaseMapper(), TextLengthFilter(70))
       val cm = newManager()
-      val pipe = Pipeline(ops, fuse = fuse, reorder = fuse, cache = Some(cm))
+      val pipe = Pipeline(chainOps, fuse = fuse, reorder = fuse, cache = Some(cm))
       pipe.run(df).count()
       val keys = keysOf(cm, pipe)
       assert(cm.entries.sorted == keys.distinct.sorted)
       keys.indices.foreach { k =>
         assert(rowsOf(cm.load(keys(k))) == rowsOf(Pipeline(pipe.planned.take(k)).run(df)), s"entry $k")
       }
+    }
+
+  for (reorder <- Seq(false, true))
+    test(s"cache keys do not depend on fuse: a fused run resumes an unfused run's cache whole (reorder=$reorder)") {
+      assert(Pipeline(chainOps, fuse = true, reorder = reorder).planned ==
+        Pipeline(chainOps, fuse = false, reorder = reorder).planned)
+      val df = docsDf(rowDocs: _*)
+      val cm = newManager()
+      val unfused = rowsOf(Pipeline(chainOps, fuse = false, reorder = reorder, cache = Some(cm)).run(df))
+      val entries = cm.entries
+      val fused = rowsOf(Pipeline(chainOps, fuse = true, reorder = reorder, cache = Some(cm)).run(df))
+      assert(cm.entries == entries)
+      assert(fused == unfused)
     }
 
   test("a Filter that rejects every row leaves empty entries a rerun resumes from") {

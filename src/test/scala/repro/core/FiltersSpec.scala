@@ -193,14 +193,14 @@ class FiltersSpec extends SparkSpec with TestData {
 
   test("computeStats preserves previously computed keys (analyzer reuse)") {
     val df = docsDf("some reasonable sentence here")
-    val first = WordCountFilter().computeStats(df)
+    val first = Analyzer.computeStats(df, Seq(WordCountFilter()))
     // Inject a sentinel: rerunning computeStats must not overwrite existing keys.
     val sentinel = first.withColumn(Schema.Stats,
       org.apache.spark.sql.functions.map_concat(
         org.apache.spark.sql.functions.col(Schema.Stats),
         org.apache.spark.sql.functions.map(
           org.apache.spark.sql.functions.lit("marker"), org.apache.spark.sql.functions.lit(42.0))))
-    val again = WordCountFilter().computeStats(sentinel)
+    val again = Analyzer.computeStats(sentinel, Seq(WordCountFilter()))
     val stats = again.select(Schema.Stats).collect()(0).getAs[Map[String, Double]](0)
     assert(stats("marker") == 42.0)
   }

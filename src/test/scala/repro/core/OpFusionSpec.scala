@@ -6,48 +6,19 @@ import repro.core.Mappers._
 
 class OpFusionSpec extends SparkSpec with TestData {
 
-  private val wordsFilters: Seq[Filter] = Seq(
-    WordCountFilter(minWords = 2), StopwordRatioFilter(0.05), FlaggedWordsFilter(0.2))
-
-  test("plan fuses consecutive filters sharing the Words context") {
-    val planned = OpFusion.plan(wordsFilters, fuse = true, reorder = false)
-    assert(planned.size == 1)
-    assert(planned.head.isInstanceOf[FusedFilter])
-    assert(planned.head.asInstanceOf[FusedFilter].members.size == 3)
-  }
-
-  test("plan keeps context-free filters standalone") {
-    val ops = Seq(TextLengthFilter(1), WordCountFilter(1), StopwordRatioFilter(0.0))
-    val planned = OpFusion.plan(ops, fuse = true, reorder = false)
-    assert(planned.count(_.isInstanceOf[FusedFilter]) == 1)
-    assert(planned.exists { case f: Filter => f.name == "text_length_filter"; case _ => false })
-  }
-
   test("mappers and deduplicators are fusion barriers") {
-    val ops: Seq[Op] = Seq(WordCountFilter(1), LowercaseMapper(), StopwordRatioFilter(0.0))
-    val planned = OpFusion.plan(ops, fuse = true, reorder = true)
-    assert(planned.size == 3) // nothing fused across the mapper
-    assert(planned(1).isInstanceOf[Mapper])
+    val dedup = Deduplicators.ExactDocDeduplicator()
+    val ops: Seq[Op] = Seq(WordCountFilter(1), LowercaseMapper(), PerplexityFilter(1e9), TextLengthFilter(1),
+      dedup, StopwordRatioFilter(0.0), TextLengthFilter(2))
+    // Each Filter run is sorted by cost; nothing moves across a barrier.
+    assert(OpFusion.plan(ops, reorder = true) == Seq(WordCountFilter(1), LowercaseMapper(), TextLengthFilter(1),
+      PerplexityFilter(1e9), dedup, TextLengthFilter(2), StopwordRatioFilter(0.0)))
   }
 
   test("reordering sorts a filter run by cost, stable") {
     val ops: Seq[Op] = Seq(PerplexityFilter(1e9), TextLengthFilter(1), WordCountFilter(1))
-    val planned = OpFusion.plan(ops, fuse = false, reorder = true)
+    val planned = OpFusion.plan(ops, reorder = true)
     assert(planned.map(_.asInstanceOf[Filter].cost) == Seq(0, 1, 2))
-  }
-
-  test("fused filter computes the union of stats keys") {
-    val fused = FusedFilter(wordsFilters)
-    val stats = fused.computeStatsRow(new TextContext("the cat and the dog sat"))
-    assert(stats.keySet == Set("num_words", "stopword_ratio", "flagged_ratio"))
-  }
-
-  test("fused keep is the conjunction of member keeps") {
-    val fused = FusedFilter(Seq(WordCountFilter(minWords = 3), FlaggedWordsFilter(0.0)))
-    val good = fused.computeStatsRow(new TextContext("three plain words"))
-    val bad  = fused.computeStatsRow(new TextContext("damn damn damn words"))
-    assert(fused.keepRow(good))
-    assert(!fused.keepRow(bad)) // flagged ratio trips even though word count passes
   }
 
   test("fused pipeline output equals unfused output exactly") {

@@ -13,8 +13,8 @@ class PropertySpec extends AnyFunSuite {
     Gen.oneOf("the", "and", "of", "中", "!", ".", "damn"),
   )).map(_.mkString(" ")).map(_.take(2000))
 
-  private def check(name: String, p: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), p)
+  private def check(name: String, p: Prop, tests: Int = 60): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(tests), p)
     assert(res.passed, s"$name: ${res.status}")
   }
 
@@ -59,14 +59,15 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
-  test("fused filter decision equals conjunction of members") {
-    val members = Seq(Filters.WordCountFilter(3), Filters.StopwordRatioFilter(0.1),
-      Filters.FlaggedWordsFilter(0.05))
-    val fused = FusedFilter(members)
-    check("fused-conj", Prop.forAll(textGen) { t =>
-      fused.keepRow(fused.computeStatsRow(new TextContext(t))) ==
-        members.forall(m => m.keepRow(m.computeStatsRow(new TextContext(t))))
-    })
+  test("sharing one context across Filters leaves every row's result unchanged") {
+    // Most drawn chains end at their first rejecting Filter, so a stale
+    // context shows only in the few that edit text between two Filters.
+    val pool: Seq[RowOp] = OpRegistry.specs.keys.toSeq.sorted.map(OpRegistry.build(_, Map.empty))
+      .collect { case m: Mapper => m; case f: Filter => f }
+    val chains = Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.oneOf(pool)))
+    check("share-diff", Prop.forAll(chains, textGen) { (ops, t) =>
+      RowStage(ops, t, Map.empty, Map.empty, share = true) == RowStage(ops, t, Map.empty, Map.empty, share = false)
+    }, tests = 1000)
   }
 
   test("content hash is whitespace/case invariant") {

@@ -47,12 +47,10 @@ class RowStageSpec extends SparkSpec with TestData {
         val reached = m.name -> rows.size.toLong
         rows = rows.map(m.inner.mapText)
         Seq(reached)
-      case f: Filter =>
-        val members = (f match { case FusedFilter(ms) => ms; case one => Seq(one) })
-          .collect { case c: CountingFilter => c.inner }
-        val reached = members.map(_.name -> rows.size.toLong)
-        rows = rows.filter(t => members.forall(m => m.keepRow(m.computeStatsRow(new TextContext(t)))))
-        reached
+      case f: CountingFilter =>
+        val reached = f.name -> rows.size.toLong
+        rows = rows.filter(t => f.inner.keepRow(f.inner.computeStatsRow(new TextContext(t))))
+        Seq(reached)
       case _ => Nil
     }.toMap
   }
@@ -79,6 +77,29 @@ class RowStageSpec extends SparkSpec with TestData {
       case f: CountingFilter => f.name -> f.calls.value.longValue
     }.toMap
     assert(actual == expected)
+  }
+
+  test("with fuse on, Filters tokenize a row once until a Mapper edits its text") {
+    val texts = docs.zipWithIndex.map { case (t, i) => if (i % 3 == 1) t.toUpperCase else t }
+    val before = Seq(WordCountFilter(5), TextLengthFilter(10))
+    val ops: Seq[Op] = before ++ Seq(LowercaseMapper(), StopwordRatioFilter(0.1))
+    val reachMapper = texts.filter(t => before.forall(f => f.keepRow(f.computeStatsRow(new TextContext(t)))))
+    val edited = reachMapper.count(t => t.toLowerCase != t)
+    assert(edited > 0 && edited < reachMapper.size)
+    val input = docsDf(texts: _*).localCheckpoint()
+    Tokenizers.wordCalls.set(0L)
+    Pipeline(ops, fuse = true).run(input).collect()
+    // Once per row for the first Words Filter, once more per row the Mapper changed.
+    assert(Tokenizers.wordCalls.get() == texts.size + edited)
+  }
+
+  test("with fuse on, a Filter after a text-editing Mapper reads the edited text") {
+    // "b x b b y b" is 6 words before the edit and "x y" 2 after: only the
+    // edited text meets maxWords = 3.
+    val ops: Seq[Op] = Seq(WordCountFilter(minWords = 1), RemoveHtmlTagsMapper(),
+      WordCountFilter(minWords = 1, maxWords = 3))
+    val out = Pipeline(ops, fuse = true).run(docsDf("<b>x</b> <b>y</b>").localCheckpoint())
+    assert(out.select(Schema.Stats).collect().map(_.getMap[String, Double](0)("num_words")).toSeq == Seq(2.0))
   }
 
   test("null text reads as empty and stays null unless a Mapper ran") {
