@@ -1,8 +1,9 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Path, Paths}
 import java.security.MessageDigest
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Try
 
 /** Cache / checkpoint management (paper Sec. 5.1.1 & 7, Appendix A.2).
@@ -19,7 +20,8 @@ import scala.util.Try
   * Modes:
   *  - `cache`      — keep every OP's output (max storage, min recompute);
   *                   all outputs of a run of row-level OPs are written by
-  *                   one job ([[CacheManager.saveRun]]);
+  *                   one job, each version of a row once
+  *                   ([[CacheManager.saveRun]]);
   *  - `checkpoint` — keep only the latest OP's output, deleting the
   *                   predecessor after a successful write (paper: ≤ 3×S peak).
   *
@@ -47,9 +49,26 @@ final class CacheManager(
 
   def path(key: String): Path = Paths.get(dir, key)
 
+  /** Where row runs write their data ([[saveRun]]); not an entry. Spark
+    * would warn on reading a path whose own name starts with `_`, so only
+    * this parent directory has one.
+    */
+  private def runs: Path = Paths.get(dir, "_runs")
+
   def has(key: String): Boolean = Files.exists(path(key).resolve("_SUCCESS"))
 
-  def load(key: String): DataFrame = spark.read.parquet(path(key).toString)
+  /** The entry under `key`. An entry that a row run wrote is a reference
+    * to the run's versions ([[saveRun]]): the versions valid at its stage,
+    * with only the stats keys added by then.
+    */
+  def load(key: String): DataFrame = {
+    val ref = path(key).resolve(CacheManager.RefFile)
+    if (!Files.exists(ref)) spark.read.parquet(path(key).toString)
+    else {
+      val Array(data, stage) = new String(Files.readAllBytes(ref), UTF_8).split("\t")
+      RowStage.at(spark.read.parquet(runs.resolve(data).toString), stage.toInt)
+    }
+  }
 
   /** Persist an OP output under `key`; in checkpoint mode the predecessor's
     * files are deleted only after this write succeeds (so the peak transient
@@ -62,28 +81,34 @@ final class CacheManager(
   }
 
   /** Persist every OP output of a row run in one write job (cache mode).
-    * `staged` is a [[RowStage.staged]] frame; its rows of stage `k` are the
-    * entry under `keys(k)`. Each entry is moved into place before its
-    * `_SUCCESS` marker is written, so an interrupted save leaves no entry
-    * that [[has]] accepts. A stage no row reached gets an empty entry.
+    * `staged` is a [[RowStage.staged]] frame; `keys(k)` names its stage `k`,
+    * so `keys.head` is the run's input. Each version of a row is written
+    * once, as one parquet dataset under `_runs` in [[dir]]; each key then
+    * gets a directory holding only a reference (data directory and stage)
+    * and `_SUCCESS`. An input key already on disk is left as it is. If the
+    * write fails, the data directory and every key of this call are
+    * deleted, so no entry that [[has]] accepts points at missing data.
     * Returns the last entry.
     */
   def saveRun(staged: DataFrame, keys: Seq[String]): DataFrame = {
     require(mode == CacheManager.ModeCache, "a row run is saved whole only in cache mode")
-    val staging = Paths.get(dir, s"_staging-${java.util.UUID.randomUUID()}")
+    val first = if (has(keys.head)) 1 else 0
+    val data = s"run-${java.util.UUID.randomUUID()}"
     try {
-      staged.write.option("compression", compression).partitionBy(RowStage.StageCol).parquet(staging.toString)
-      val schema = staged.drop(RowStage.StageCol).schema
-      keys.zipWithIndex.foreach { case (key, k) =>
+      RowStage.since(staged, first).write.option("compression", compression).parquet(runs.resolve(data).toString)
+      keys.zipWithIndex.drop(first).foreach { case (key, k) =>
         delete(key)
-        val part = staging.resolve(s"${RowStage.StageCol}=$k")
-        if (Files.exists(part)) {
-          Files.move(part, path(key))
-          Files.createFile(path(key).resolve("_SUCCESS"))
-        } else spark.createDataFrame(java.util.Collections.emptyList[Row](), schema)
-          .write.option("compression", compression).parquet(path(key).toString)
+        Files.createDirectories(path(key))
+        Files.write(path(key).resolve(CacheManager.RefFile), s"$data\t$k".getBytes(UTF_8))
+        Files.createFile(path(key).resolve("_SUCCESS"))
       }
-    } finally delete(staging)
+    } catch {
+      case e: Throwable =>
+        keys.drop(first).foreach(delete)
+        delete(runs.resolve(data))
+        Try(Files.delete(runs)) // only if no other run's data is there
+        throw e
+    }
     load(keys.last)
   }
 
@@ -96,11 +121,13 @@ final class CacheManager(
     }
   }
 
-  /** Number of cache entries currently on disk. */
+  /** The keys of the cache entries currently on disk; `_runs`, where row
+    * runs keep their data, is not an entry.
+    */
   def entries: Seq[String] =
     if (!Files.exists(Paths.get(dir))) Nil
-    else Files.list(Paths.get(dir)).toArray.map(_.toString)
-      .map(p => Paths.get(p).getFileName.toString).toSeq.sorted
+    else Files.list(Paths.get(dir)).toArray.map(_.asInstanceOf[Path].getFileName.toString)
+      .filterNot(_.startsWith("_")).toSeq.sorted
 
   /** Total bytes on disk under the cache directory. */
   def bytes: Long =
@@ -111,6 +138,9 @@ final class CacheManager(
 object CacheManager {
   val ModeCache      = "cache"
   val ModeCheckpoint = "checkpoint"
+
+  /** File of an entry directory that points into a row run's data. */
+  private val RefFile = "_ref"
 }
 
 /** Closed-form space-usage model from Appendix A.2, used to decide how many
@@ -119,7 +149,10 @@ object CacheManager {
 object SpaceModel {
   /** Cache-mode space: (1 + M + F + 1(F>0) + D) × S — one cache for the
     * loaded dataset, one per OP, plus one extra for the first Filter (it adds
-    * the stats column).
+    * the stats column). That is the paper's count of one full copy per OP.
+    * Here a row run stores each version of a row once ([[CacheManager.saveRun]]),
+    * so the real size is smaller; the formula stays as the conservative upper
+    * bound [[choosePolicy]] plans with.
     */
   def cacheMode(mappers: Int, filters: Int, dedups: Int, datasetBytes: Long): Long =
     (1L + mappers + filters + (if (filters > 0) 1 else 0) + dedups) * datasetBytes

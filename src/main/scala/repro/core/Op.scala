@@ -79,7 +79,8 @@ trait Filter extends RowOp {
 }
 
 /** Filters whose decision depends on `meta`, not text stats (e.g. language
-  * tags, GitHub star counts). They take part in reordering as cost-0 OPs.
+  * tags, GitHub star counts). They take part in reordering as cost-0 OPs
+  * ([[OpFusion.plan]]).
   */
 trait MetaFilter extends RowOp {
   def keepMeta(meta: Map[String, String]): Boolean

@@ -29,10 +29,12 @@ final case class Pipeline(
     * Deduplicators runs as one [[RowStage]] pass; only a tracer, which
     * inspects each OP's input and output, makes every OP its own pass. With a
     * cache manager the longest already-cached prefix of the planned chain is
-    * loaded instead of recomputed. In cache mode the pass of a run of several
-    * row OPs keeps every OP's output and [[CacheManager.saveRun]] writes all
-    * of them in one job; in checkpoint mode, which keeps only the latest
-    * entry, the pass saves its output alone.
+    * loaded instead of recomputed. In cache mode a row run's pass keeps each
+    * version of every row and [[CacheManager.saveRun]] writes all of the
+    * run's entries in one job; when a cold run starts with a row run, the
+    * input's entry is the stage 0 of that write rather than a copy of its
+    * own. In checkpoint mode, which keeps only the latest entry, the pass
+    * saves its output alone.
     */
   def run(input: DataFrame): DataFrame = {
     val df0 = Schema.ensure(input)
@@ -40,10 +42,12 @@ final case class Pipeline(
     // keys(0) the input.
     val keys = cache.fold(Seq.empty[String])(cm =>
       planned.scanLeft(cm.inputKey(inputId))((k, op) => cm.chainKey(k, op)))
+    val cacheMode = cache.exists(_.mode == CacheManager.ModeCache)
     val (start, resumed) = cache match {
       case Some(cm) => keys.lastIndexWhere(cm.has) match {
         // Persist the unified input itself (the paper's "one cache data file
-        // for the original dataset").
+        // for the original dataset"), unless the first row run writes it.
+        case -1 if cacheMode && planned.headOption.exists(_.isInstanceOf[RowOp]) => (0, df0)
         case -1  => (0, cm.save(df0, keys.head, None))
         case hit => (hit, cm.load(keys(hit)))
       }
@@ -51,15 +55,12 @@ final case class Pipeline(
     }
     steps(planned.drop(start)).foldLeft((start, resumed)) { case ((i, df), step) =>
       val next = i + step.size
-      // A single OP's entry is written directly; staging pays off only when
-      // one job writes several entries.
-      val savesRun = step.size > 1 && cache.exists(_.mode == CacheManager.ModeCache)
+      val rowOps = step.collect { case r: RowOp => r }
+      val savesRun = cacheMode && rowOps.nonEmpty
       val out = step match {
+        case _ if savesRun => cache.get.saveRun(RowStage.staged(df, rowOps, fuse), keys.slice(i, next + 1))
         case Seq(op) => op(df)
-        case rowRun =>
-          val rowOps = rowRun.collect { case r: RowOp => r }
-          if (savesRun) cache.get.saveRun(RowStage.staged(df, rowOps, fuse), keys.slice(i + 1, next + 1))
-          else RowStage.run(df, rowOps, fuse)
+        case _ => RowStage.run(df, rowOps, fuse)
       }
       tracer.foreach(_.record(step.head, df, out))
       // The original dataset's cache (keys.head) is never evicted — the

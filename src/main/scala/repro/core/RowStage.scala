@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Encoders, Row}
-import org.apache.spark.sql.types.IntegerType
+import org.apache.spark.sql.functions.{col, element_at, map_filter}
+import org.apache.spark.sql.types.{IntegerType, MapType, StringType}
 import scala.collection.mutable.ArrayBuffer
 
 /** The one interpreter of row-level OPs ([[Mapper]], [[Filter]],
@@ -26,8 +27,13 @@ object RowStage {
     */
   trait Emit { def apply(op: Int, text: String, stats: Map[String, Double]): Unit }
 
-  /** Column of a [[staged]] frame: the index of the OP whose output a row is. */
-  val StageCol = "__dj_stage"
+  // Columns of a staged frame: the first and last stage a version of a
+  // sample is valid for, and the stage at which each of its stats keys
+  // first appeared. Stage 0 is the pass's input, stage k the output of
+  // ops(k - 1).
+  private val From  = "__dj_from"
+  private val To    = "__dj_to"
+  private val Added = "__dj_added"
 
   /** Interpret `ops` over one sample: the edited text and stats, or None if
     * the sample is rejected. The text stays null only if no Mapper ran.
@@ -69,12 +75,36 @@ object RowStage {
   def run(df: DataFrame, ops: Seq[RowOp], share: Boolean = false): DataFrame =
     pass(df, ops, staged = false, share)
 
-  /** One pass that keeps every OP's output: each row appears once per OP it
-    * passes, as that OP left it, with the OP's index in [[StageCol]]. The
-    * cache writes all entries of a row run from it in one job.
+  /** One pass that keeps every OP's output, each version of a sample once.
+    * A version lasts while the sample's text and every stats value it holds
+    * stay unchanged; a Filter that only adds stats keys extends it, a Mapper
+    * that edits the text or a Filter that overwrites a value starts a new
+    * one. Each version carries the stages it is valid for (stage 0 is the
+    * input, stage `k` the output of `ops(k - 1)`) and the stage each stats
+    * key was added at, so the sample as stage `k` left it is the version
+    * valid at `k`, its stats restricted to keys added at or before `k`
+    * ([[at]]). The cache writes all entries of a row run from it in one job
+    * ([[CacheManager.saveRun]]).
     */
   def staged(df: DataFrame, ops: Seq[RowOp], share: Boolean = false): DataFrame =
     pass(df, ops, staged = true, share)
+
+  /** The versions of a [[staged]] frame that some stage `k` or later reads. */
+  def since(versions: DataFrame, k: Int): DataFrame = versions.where(col(To) >= k)
+
+  /** The rows of a [[staged]] frame as stage `k` left them, in the schema of
+    * the pass's input.
+    */
+  def at(versions: DataFrame, k: Int): DataFrame =
+    versions.where(col(From) <= k && col(To) >= k)
+      .withColumn(Schema.Stats, map_filter(col(Schema.Stats), (name, _) => element_at(col(Added), name) <= k))
+      .drop(From, To, Added)
+
+  /** True if `next` drops a key of `prev` or holds another value for it
+    * (compared bit for bit, so NaN equals NaN and -0.0 differs from 0.0).
+    */
+  private def overwrites(prev: Map[String, Double], next: Map[String, Double]): Boolean =
+    (next ne prev) && prev.exists { case (k, v) => next.get(k).forall(java.lang.Double.compare(_, v) != 0) }
 
   private def pass(df: DataFrame, ops: Seq[RowOp], staged: Boolean, share: Boolean): DataFrame = {
     val schema = df.schema
@@ -87,10 +117,24 @@ object RowStage {
         def edited(t: String, s: Map[String, Double]) = r.toSeq.updated(ti, t).updated(si, s)
         if (staged) {
           val out = ArrayBuffer.empty[Row]
-          apply(ops, r.getString(ti), meta, stats, (i, t, s) => out += Row.fromSeq(edited(t, s) :+ i), share)
+          var (vt, vs, from, to) = (r.getString(ti), stats, 0, 0)
+          var added = stats.map { case (k, _) => k -> 0 }
+          def close(): Unit = out += Row.fromSeq(edited(vt, vs) :+ from :+ to :+ added)
+          apply(ops, vt, meta, stats, (i, t, s) => {
+            if (t != vt || overwrites(vs, s)) {
+              close()
+              vt = t; vs = s; from = i + 1; added = s.map { case (k, _) => k -> (i + 1) }
+            } else if (s ne vs) {
+              added ++= s.keysIterator.filterNot(vs.contains).map(_ -> (i + 1))
+              vs = s
+            }
+            to = i + 1
+          }, share)
+          close()
           out
         } else apply(ops, r.getString(ti), meta, stats, share = share).map { case (t, s) => Row.fromSeq(edited(t, s)) }
       }
-    }(Encoders.row(if (staged) schema.add(StageCol, IntegerType, nullable = false) else schema))
+    }(Encoders.row(if (!staged) schema else schema.add(From, IntegerType, nullable = false)
+      .add(To, IntegerType, nullable = false).add(Added, MapType(StringType, IntegerType, valueContainsNull = false), nullable = false)))
   }
 }

@@ -1,8 +1,29 @@
 package repro.core
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path, Paths}
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData}
+
+/** Writes fixed stats `values` (overwriting any present ones, as a Filter
+  * whose keys are not all present does) and keeps every row.
+  */
+final case class StatsWriterFilter(values: Map[String, Double]) extends Filter {
+  def name: String = "stats_writer_filter"
+  def statsKeys: Seq[String] = values.keys.toSeq.sorted
+  def contexts: Set[ContextKey.Value] = Set.empty
+  def computeStatsRow(ctx: TextContext): Map[String, Double] = values
+  def keepRow(stats: Map[String, Double]): Boolean = true
+}
+
+/** Keeps every row, and throws on the row whose text is `poison`. */
+final case class ThrowingFilter(poison: String) extends Filter {
+  def name: String = "throwing_filter"
+  def statsKeys: Seq[String] = Seq("throwing")
+  def contexts: Set[ContextKey.Value] = Set.empty
+  def computeStatsRow(ctx: TextContext): Map[String, Double] =
+    if (ctx.text == poison) throw new IllegalStateException(s"poisoned row: $poison") else Map("throwing" -> 0.0)
+  def keepRow(stats: Map[String, Double]): Boolean = true
+}
 
 class CacheSpec extends SparkSpec with TestData {
 
@@ -122,6 +143,14 @@ class CacheSpec extends SparkSpec with TestData {
   private def keysOf(cm: CacheManager, pipe: Pipeline): Seq[String] =
     pipe.planned.scanLeft(cm.inputKey(pipe.inputId))((k, op) => cm.chainKey(k, op))
 
+  /** Every entry of `pipe`'s key chain equals the uncached output of its planned prefix. */
+  private def assertEntriesExact(cm: CacheManager, pipe: Pipeline, df: DataFrame): Unit = {
+    val keys = keysOf(cm, pipe)
+    keys.indices.foreach { k =>
+      assert(rowsOf(cm.load(keys(k))) == rowsOf(Pipeline(pipe.planned.take(k)).run(df)), s"entry $k")
+    }
+  }
+
   test("a cached cold run starts as many Spark jobs for 6 row OPs as for 2") {
     import Mappers._, Filters._
     val df = docsDf(rowDocs: _*)
@@ -152,11 +181,8 @@ class CacheSpec extends SparkSpec with TestData {
       val cm = newManager()
       val pipe = Pipeline(chainOps, fuse = fuse, reorder = fuse, cache = Some(cm))
       pipe.run(df).count()
-      val keys = keysOf(cm, pipe)
-      assert(cm.entries.sorted == keys.distinct.sorted)
-      keys.indices.foreach { k =>
-        assert(rowsOf(cm.load(keys(k))) == rowsOf(Pipeline(pipe.planned.take(k)).run(df)), s"entry $k")
-      }
+      assert(cm.entries.sorted == keysOf(cm, pipe).distinct.sorted)
+      assertEntriesExact(cm, pipe, df)
     }
 
   for (reorder <- Seq(false, true))
@@ -192,5 +218,104 @@ class CacheSpec extends SparkSpec with TestData {
     assert(rerun.isEmpty)
     assert(cm.entries == entries)
     assert(jobs <= 2, s"a resumed rerun should only load the last entry, ran $jobs jobs")
+  }
+
+  /** Names directly under the cache directory. */
+  private def listed(cm: CacheManager): Seq[String] =
+    Files.list(Paths.get(cm.dir)).toArray.map(_.asInstanceOf[Path].getFileName.toString).toSeq.sorted
+
+  test("a Filter that overwrites a present stats value splits the version: earlier entries keep the old value") {
+    import Mappers._, Filters._
+    val df = docsDf(rowDocs: _*)
+    val ops: Seq[Op] = Seq(StatsWriterFilter(Map("a" -> 1.0)), TextLengthFilter(minLen = 5),
+      StatsWriterFilter(Map("a" -> 2.0, "b" -> 3.0)), WordCountFilter(minWords = 1), RemoveHtmlTagsMapper(),
+      StatsWriterFilter(Map("a" -> 4.0, "c" -> 5.0)), Deduplicators.ExactDocDeduplicator())
+    val cm = newManager()
+    val pipe = Pipeline(ops, cache = Some(cm))
+    pipe.run(df).count()
+    val keys = keysOf(cm, pipe)
+    assertEntriesExact(cm, pipe, df)
+    def values(k: Int) = rowsOf(cm.load(keys(k))).map(r => (r._3.get("a"), r._3.get("b"))).distinct
+    assert(values(1) == Seq((Some(1.0), None)))
+    assert(values(3) == Seq((Some(2.0), Some(3.0))))
+    assert(values(4) == Seq((Some(2.0), Some(3.0))))
+    // Rows the Mapper left unchanged still hold a = 2.0 at stage 5, and the
+    // edited ones no stats.
+    assert(values(5).toSet == Set((Some(2.0), Some(3.0)), (None, None)))
+    assert(values(6).map(_._1).distinct == Seq(Some(4.0)))
+  }
+
+  test("a resumed rerun starts a row run from a referenced entry and does not rewrite that entry") {
+    import Filters._
+    val df = docsDf(rowDocs: _*)
+    val cm = newManager()
+    Pipeline(chainOps, cache = Some(cm)).run(df).count()
+    // Change the 7th OP: the rerun resumes from the 6th OP's entry, which
+    // the first run's row run wrote, and runs a multi-OP row run from it.
+    val edited = chainOps.updated(6, FlaggedWordsFilter(0.05))
+    val pipe = Pipeline(edited, cache = Some(cm))
+    val keys = keysOf(cm, pipe)
+    assert(keys.lastIndexWhere(cm.has) == 6)
+    def snapshot(key: String) = Files.walk(cm.path(key)).toArray.map(_.asInstanceOf[Path])
+      .map(p => (p.toString, if (Files.isRegularFile(p)) Files.readAllBytes(p).toSeq else Nil,
+        Files.getLastModifiedTime(p))).toSeq.sortBy(_._1)
+    val before = snapshot(keys(6))
+    val beforeEntries = cm.entries
+    pipe.run(df).count()
+    assert(snapshot(keys(6)) == before)
+    assert(cm.entries.size == beforeEntries.size + edited.size - 6)
+    assertEntriesExact(cm, pipe, df)
+    assertEntriesExact(cm, Pipeline(chainOps, cache = Some(cm)), df)
+  }
+
+  test("a row run that fails part-way leaves no entry that has accepts and no orphaned data directory") {
+    import Mappers._, Filters._
+    val df = docsDf(rowDocs: _*)
+    val failing: Seq[Op] = Seq(LowercaseMapper(), TextLengthFilter(minLen = 2),
+      ThrowingFilter(rowDocs(3).toLowerCase), WordCountFilter(minWords = 1), Deduplicators.ExactDocDeduplicator())
+    val cm = newManager()
+    val pipe = Pipeline(failing, cache = Some(cm))
+    intercept[Exception](pipe.run(df))
+    assert(keysOf(cm, pipe).forall(k => !cm.has(k)))
+    assert(listed(cm).isEmpty, listed(cm).mkString(", "))
+    // The same cache directory then serves a working run.
+    val fixed = Pipeline(failing.updated(2, ThrowingFilter("never")), cache = Some(cm))
+    fixed.run(df).count()
+    assert(cm.entries == keysOf(cm, fixed).distinct.sorted)
+    assertEntriesExact(cm, fixed, df)
+  }
+
+  test("entries lists keys only, never a row run's data directory") {
+    val df = docsDf(rowDocs: _*)
+    val cm = newManager()
+    val pipe = Pipeline(chainOps, cache = Some(cm))
+    pipe.run(df).count()
+    val data = listed(cm).filter(_.startsWith("_"))
+    assert(data.nonEmpty, "a row run writes its versions under a `_`-prefixed directory")
+    assert(cm.entries == keysOf(cm, pipe).distinct.sorted)
+    assert(cm.entries.forall(!_.startsWith("_")))
+    assert(cm.entries.size + data.size == listed(cm).size)
+  }
+
+  test("a cached fusion14 run stays within the Appendix A.2 cache-mode space bound") {
+    import repro.corpus.TextGen
+    val docs = (0 until 1200).map { i =>
+      i % 4 match {
+        case 0 => TextGen.cleanText(i, 120)
+        case 1 => TextGen.htmlWrapped(i, 120)
+        case 2 => TextGen.flaggedText(i, 80)
+        case _ => TextGen.corruptedText(i, 100)
+      }
+    }
+    val df = docsDf(docs: _*)
+    // S: the dataset stored as one cache entry of its own.
+    val input = newManager()
+    input.save(df, "input", None)
+    val cm = newManager()
+    val pipe = repro.exp.Recipes.fusion14.pipeline(fuse = true, reorder = true, cache = Some(cm))
+    pipe.run(df).count()
+    val bound = SpaceModel.cacheMode(pipe.planned, input.bytes)
+    info(s"cache bytes ${cm.bytes}, S = ${input.bytes}, bound $bound")
+    assert(cm.bytes <= bound)
   }
 }

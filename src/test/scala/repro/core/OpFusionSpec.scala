@@ -21,6 +21,15 @@ class OpFusionSpec extends SparkSpec with TestData {
     assert(planned.map(_.asInstanceOf[Filter].cost) == Seq(0, 1, 2))
   }
 
+  test("MetaFilters join a sortable Filter run as cost-0 OPs") {
+    val meta = MetaFieldFilter("language", Seq("EN"))
+    val ops: Seq[Op] = Seq(WordCountFilter(1), meta, TextLengthFilter(1))
+    // The text_length_filter after the meta_field_filter moves ahead of the
+    // Words Filter; the MetaFilter runs first, as its cost is 0.
+    assert(OpFusion.plan(ops, reorder = true) == Seq(meta, TextLengthFilter(1), WordCountFilter(1)))
+    assert(OpFusion.plan(ops, reorder = false) == ops)
+  }
+
   test("fused pipeline output equals unfused output exactly") {
     val docs = (0 until 60).map { i =>
       if (i % 5 == 0) "tiny"

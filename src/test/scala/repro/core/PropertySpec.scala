@@ -70,6 +70,23 @@ class PropertySpec extends AnyFunSuite {
     }, tests = 1000)
   }
 
+  test("reordering Filters and MetaFilters leaves every row's result unchanged") {
+    val pool: Seq[RowOp] = OpRegistry.specs.keys.toSeq.sorted.map(OpRegistry.build(_, Map.empty))
+      .collect { case r: RowOp => r }
+    assert(pool.exists(_.isInstanceOf[MetaFilter]))
+    val chains = Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.oneOf(pool)))
+    val metas = for {
+      lang  <- Gen.oneOf("EN", "ZH")
+      sfx   <- Gen.oneOf(".py", ".txt")
+      stars <- Gen.oneOf("1", "50", "x")
+    } yield Map("language" -> lang, "suffix" -> sfx, "stars" -> stars)
+    def rowOps(ops: Seq[Op]) = ops.collect { case r: RowOp => r }
+    check("reorder-diff", Prop.forAll(chains, textGen, metas) { (ops, t, meta) =>
+      RowStage(rowOps(OpFusion.plan(ops, reorder = true)), t, meta, Map.empty) ==
+        RowStage(rowOps(OpFusion.plan(ops, reorder = false)), t, meta, Map.empty)
+    }, tests = 1000)
+  }
+
   test("content hash is whitespace/case invariant") {
     check("chash", Prop.forAll(textGen) { t =>
       Hashing.contentHash(t) == Hashing.contentHash(t.toUpperCase.replaceAll("\\s+", "  "))
