@@ -16,88 +16,42 @@ private[jobs] object JobSession {
       .getOrCreate()
 }
 
-/** Tables 2 & 9: pre-training recipes → HELM-lite scores. */
-object Table2 {
+/** An entrypoint that prints the tables one experiment renders in a
+  * session of its own.
+  */
+private[jobs] abstract class TableJob(name: String, tables: SparkSession => String) {
   def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("table2")
-    val r = Table2Experiment.run(s)
-    println(r.table2); println(); println(r.table9)
-    s.stop()
+    val s = JobSession.spark(name)
+    try println(tables(s)) finally s.stop()
   }
 }
+
+/** Tables 2 & 9: pre-training recipes → HELM-lite scores. */
+object Table2 extends TableJob("table2", s => { val r = Table2Experiment.run(s); s"${r.table2}\n\n${r.table9}" })
 
 /** Table 3: post-tuning pairwise judge comparison. */
-object Table3 {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("table3")
-    println(Table3Experiment.run(s).table3)
-    s.stop()
-  }
-}
+object Table3 extends TableJob("table3", Table3Experiment.run(_).table3)
 
 /** Tables 4 & 5: quality classifiers + CommonCrawl keeping ratios. */
-object Table4 {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("table4")
-    val r = Table4Experiment.run(s)
-    println(r.table4); println(); println(r.table5)
-    s.stop()
-  }
-}
+object Table4 extends TableJob("table4", s => { val r = Table4Experiment.run(s); s"${r.table4}\n\n${r.table5}" })
 
 /** Table 7: pre-training recipe statistics. */
-object Table7 {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("table7")
-    println(Table7Experiment.run(s).table7)
-    s.stop()
-  }
-}
+object Table7 extends TableJob("table7", Table7Experiment.run(_).table7)
 
 /** Table 8: post-tuning registry tag counts. */
-object Table8 {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("table8")
-    println(Table8Experiment.run(s).table8)
-    s.stop()
-  }
-}
+object Table8 extends TableJob("table8", Table8Experiment.run(_).table8)
 
 /** Table 9 alone (same run as Table 2). */
-object Table9 {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("table9")
-    println(Table2Experiment.run(s).table9)
-    s.stop()
-  }
-}
+object Table9 extends TableJob("table9", Table2Experiment.run(_).table9)
 
 /** Fig. 8 analog: end-to-end performance vs script baseline. */
-object Perf {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("perf")
-    println(PerfExperiment.run(s).table)
-    s.stop()
-  }
-}
+object Perf extends TableJob("perf", PerfExperiment.run(_).table)
 
 /** Fig. 9 analog: OP fusion & reordering. */
-object Fusion {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("fusion")
-    println(FusionExperiment.run(s).table)
-    s.stop()
-  }
-}
+object Fusion extends TableJob("fusion", FusionExperiment.run(_).table)
 
 /** Fig. 10 analog: node scalability, Ray-like vs Beam-like. */
-object Scalability {
-  def main(args: Array[String]): Unit = {
-    val s = JobSession.spark("scalability")
-    println(ScalabilityExperiment.run(s).table)
-    s.stop()
-  }
-}
+object Scalability extends TableJob("scalability", ScalabilityExperiment.run(_).table)
 
 /** Run a YAML recipe against a jsonl input and write parquet output:
   * `spark-submit --class jobs.ProcessRecipe … recipe.yaml in.jsonl out.parquet [op.param=value …]`

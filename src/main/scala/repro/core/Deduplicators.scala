@@ -208,28 +208,13 @@ object Deduplicators {
     }
 
     def process(df: DataFrame): DataFrame = {
-      val (sigs, input) = OpUtil.materialize(df, HashCol)
       val bandKey = udf { (sig: Seq[Long], band: Int) =>
         MurmurHash3.arrayHash(sig.slice(band * rows, (band + 1) * rows).toArray, seed)
       }
-      val buckets = sigs
-        .withColumn("band", explode(lit((0 until bands).toArray)))
-        .withColumn("bkey", bandKey(col("sig"), col("band")))
-        .groupBy("band", "bkey").agg(sort_array(collect_list(col(Schema.Id))) as "ids")
-        .filter(size(col("ids")).between(2, maxBucket))
-      // Star edges to the bucket minimum keep pair count linear in bucket size.
-      val candidates = buckets
-        .select(col("ids")(0) as "src", explode(slice(col("ids"), 2, maxBucket)) as "dst")
-        .distinct()
       val estJaccard = udf { (a: Seq[Long], b: Seq[Long]) =>
         a.iterator.zip(b.iterator).count { case (x, y) => x == y }.toDouble / a.size
       }
-      val verified = candidates
-        .join(sigs.withColumnRenamed(Schema.Id, "src").withColumnRenamed("sig", "sigA"), "src")
-        .join(sigs.withColumnRenamed(Schema.Id, "dst").withColumnRenamed("sig", "sigB"), "dst")
-        .filter(estJaccard(col("sigA"), col("sigB")) >= jaccard)
-        .select("src", "dst")
-      ConnectedComponents.keepClusterHeads(input, verified)
+      OpUtil.lsh(df, HashCol, bands, maxBucket, bandKey(_, _), (a, b) => estJaccard(a, b) >= jaccard)
     }
   }
 
@@ -248,23 +233,9 @@ object Deduplicators {
     }
 
     def process(df: DataFrame): DataFrame = {
-      val (sigs, input) = OpUtil.materialize(df, HashCol)
       val blockOf = udf { (sig: Long, block: Int) => (sig >>> (block * BlockBits)) & 0xffffL }
-      val buckets = sigs
-        .withColumn("block", explode(lit((0 until Blocks).toArray)))
-        .withColumn("bkey", blockOf(col("sig"), col("block")))
-        .groupBy("block", "bkey").agg(sort_array(collect_list(col(Schema.Id))) as "ids")
-        .filter(size(col("ids")).between(2, maxBucket))
-      val candidates = buckets
-        .select(col("ids")(0) as "src", explode(slice(col("ids"), 2, maxBucket)) as "dst")
-        .distinct()
       val ham = udf((a: Long, b: Long) => Hashing.hamming(a, b))
-      val verified = candidates
-        .join(sigs.withColumnRenamed(Schema.Id, "src").withColumnRenamed("sig", "sigA"), "src")
-        .join(sigs.withColumnRenamed(Schema.Id, "dst").withColumnRenamed("sig", "sigB"), "dst")
-        .filter(ham(col("sigA"), col("sigB")) <= hammingMax)
-        .select("src", "dst")
-      ConnectedComponents.keepClusterHeads(input, verified)
+      OpUtil.lsh(df, HashCol, Blocks, maxBucket, blockOf(_, _), (a, b) => ham(a, b) <= hammingMax)
     }
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import org.apache.spark.sql.functions.col
 
 /** Base classes of the standardized OP pool (paper Sec. 4 and Listing 1).
@@ -116,12 +116,32 @@ private[core] object OpUtil {
       .drop("__dj_rn")
   }
 
-  /** Materialize a near-duplicate Deduplicator's input once, since it reads
-    * it twice (signatures, then the kept rows): otherwise every upstream OP
-    * runs twice per row. Returns `(id, sig)` and the input without `hashCol`.
+  /** The LSH skeleton of the near-duplicate Deduplicators over signatures in
+    * `hashCol`: each signature goes into one bucket per band
+    * (`bucketKey(sig, band)`), each bucket of 2 to `maxBucket` ids yields
+    * star pairs to its minimum id, a pair whose signatures are `similar` is
+    * an edge, and each connected component keeps its minimum id. The input
+    * is materialized once, since it is read twice (signatures, then the
+    * kept rows): otherwise every upstream OP runs twice per row.
     */
-  def materialize(df: DataFrame, hashCol: String): (DataFrame, DataFrame) = {
+  def lsh(df: DataFrame, hashCol: String, bands: Int, maxBucket: Int,
+          bucketKey: (Column, Column) => Column, similar: (Column, Column) => Column): DataFrame = {
     val staged = df.localCheckpoint(true)
-    (staged.select(col(Schema.Id), col(hashCol).as("sig")), staged.drop(hashCol))
+    val sigs = staged.select(col(Schema.Id), col(hashCol).as("sig"))
+    val buckets = sigs
+      .withColumn("band", F.explode(F.lit((0 until bands).toArray)))
+      .withColumn("bkey", bucketKey(col("sig"), col("band")))
+      .groupBy("band", "bkey").agg(F.sort_array(F.collect_list(col(Schema.Id))) as "ids")
+      .filter(F.size(col("ids")).between(2, maxBucket))
+    // Star edges to the bucket minimum keep pair count linear in bucket size.
+    val candidates = buckets
+      .select(col("ids")(0) as "src", F.explode(F.slice(col("ids"), 2, maxBucket)) as "dst")
+      .distinct()
+    val verified = candidates
+      .join(sigs.withColumnRenamed(Schema.Id, "src").withColumnRenamed("sig", "sigA"), "src")
+      .join(sigs.withColumnRenamed(Schema.Id, "dst").withColumnRenamed("sig", "sigB"), "dst")
+      .filter(similar(col("sigA"), col("sigB")))
+      .select("src", "dst")
+    ConnectedComponents.keepClusterHeads(staged.drop(hashCol), verified)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, lit}
 
 /** The end-to-end data processing executor (paper Fig. 1, yellow box): takes
   * a unified dataset through an OP chain, optionally applying OP fusion
@@ -26,15 +27,16 @@ final case class Pipeline(
   lazy val planned: Seq[Op] = OpFusion.plan(ops, reorder)
 
   /** Run the pipeline. Each maximal run of planned row-level OPs between
-    * Deduplicators runs as one [[RowStage]] pass; only a tracer, which
-    * inspects each OP's input and output, makes every OP its own pass. With a
+    * Deduplicators runs as one [[RowStage]] pass, traced or not. With a
     * cache manager the longest already-cached prefix of the planned chain is
     * loaded instead of recomputed. In cache mode a row run's pass keeps each
     * version of every row and [[CacheManager.saveRun]] writes all of the
     * run's entries in one job; when a cold run starts with a row run, the
     * input's entry is the stage 0 of that write rather than a copy of its
     * own. In checkpoint mode, which keeps only the latest entry, the pass
-    * saves its output alone.
+    * saves its output alone. Under a tracer each step materializes its
+    * output once (a row run: its versions) and the tracer reads the step's
+    * effects from it, so no OP runs again to be traced.
     */
   def run(input: DataFrame): DataFrame = {
     val df0 = Schema.ensure(input)
@@ -57,12 +59,19 @@ final case class Pipeline(
       val next = i + step.size
       val rowOps = step.collect { case r: RowOp => r }
       val savesRun = cacheMode && rowOps.nonEmpty
-      val out = step match {
-        case _ if savesRun => cache.get.saveRun(RowStage.staged(df, rowOps, fuse), keys.slice(i, next + 1))
-        case Seq(op) => op(df)
-        case _ => RowStage.run(df, rowOps, fuse)
-      }
-      tracer.foreach(_.record(step.head, df, out))
+      val out =
+        if (rowOps.isEmpty) tracer.fold(step.head(df)) { t =>
+          val kept = step.head(df).localCheckpoint()
+          t.record(step, df.join(kept.select(Schema.Id), Seq(Schema.Id), "left_anti")
+            .select(lit(0) as "op", col(Schema.Id), col(Schema.Text) as "before", lit(null).cast("string") as "after"))
+          kept
+        }
+        else if (savesRun || tracer.isDefined) {
+          val staged = RowStage.staged(df, rowOps, fuse)
+          val versions = if (tracer.isDefined) staged.localCheckpoint() else staged
+          tracer.foreach(_.record(step, RowStage.effects(versions, step.size)))
+          if (savesRun) cache.get.saveRun(versions, keys.slice(i, next + 1)) else RowStage.at(versions, step.size)
+        } else RowStage.run(df, rowOps, fuse)
       // The original dataset's cache (keys.head) is never evicted — the
       // checkpoint-mode peak is original + previous + in-flight = 3×S.
       (next, if (savesRun) out else cache.fold(out)(_.save(out, keys(next), Some(keys(i)).filter(_ != keys.head))))
@@ -70,12 +79,10 @@ final case class Pipeline(
   }
 
   /** Split `ops` into the passes [[run]] executes: each Deduplicator alone,
-    * each maximal run of row-level OPs together (one OP per pass under a
-    * tracer).
+    * each maximal run of row-level OPs together.
     */
   private def steps(ops: Seq[Op]): Seq[Seq[Op]] =
-    if (tracer.isDefined) ops.map(Seq(_))
-    else ops.foldLeft(Vector.empty[Vector[Op]]) {
+    ops.foldLeft(Vector.empty[Vector[Op]]) {
       case (init :+ last, op: RowOp) if last.forall(_.isInstanceOf[RowOp]) => init :+ (last :+ op)
       case (acc, op) => acc :+ Vector(op)
     }

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Encoders, Row}
-import org.apache.spark.sql.functions.{col, element_at, map_filter}
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.functions.{array, col, element_at, explode, lag, lead, lit, map_filter, struct, when}
 import org.apache.spark.sql.types.{IntegerType, MapType, StringType}
 import scala.collection.mutable.ArrayBuffer
 
@@ -84,7 +85,8 @@ object RowStage {
     * key was added at, so the sample as stage `k` left it is the version
     * valid at `k`, its stats restricted to keys added at or before `k`
     * ([[at]]). The cache writes all entries of a row run from it in one job
-    * ([[CacheManager.saveRun]]).
+    * ([[CacheManager.saveRun]]) and the tracer reads each OP's effects from
+    * it ([[effects]]).
     */
   def staged(df: DataFrame, ops: Seq[RowOp], share: Boolean = false): DataFrame =
     pass(df, ops, staged = true, share)
@@ -99,6 +101,27 @@ object RowStage {
     versions.where(col(From) <= k && col(To) >= k)
       .withColumn(Schema.Stats, map_filter(col(Schema.Stats), (name, _) => element_at(col(Added), name) <= k))
       .drop(From, To, Added)
+
+  /** Each OP's effects in a [[staged]] pass over `n` OPs, one row
+    * `(op, id, before, after)` each. A sample whose last version ends at
+    * stage `k < n` was removed by `ops(k)` (`after` is null). A version that
+    * starts at stage `k > 0` with a text that differs (`=!=`) from the
+    * previous version's is an edit by `ops(k - 1)`; one that a Filter started
+    * by overwriting a stats value keeps its text and is no edit.
+    */
+  def effects(versions: DataFrame, n: Int): DataFrame = {
+    val bySample = Window.partitionBy(Schema.Id).orderBy(From)
+    val text = col(Schema.Text)
+    versions.where(col(From) > 0 || col(To) < n) // not a sample one version carries through
+      .select(col(Schema.Id), text, col(From), col(To),
+        lag(text, 1).over(bySample) as "prev", lead(col(From), 1).over(bySample) as "next")
+      .select(col(Schema.Id), explode(array(
+        when(col(From) > 0 && col("prev") =!= text, struct(col(From) - 1 as "op", col("prev") as "before", text as "after")),
+        when(col("next").isNull && col(To) < n, struct(col(To) as "op", text as "before", lit(null).cast("string") as "after")),
+      )) as "e")
+      .where(col("e").isNotNull)
+      .select("e.op", Schema.Id, "e.before", "e.after")
+  }
 
   /** True if `next` drops a key of `prev` or holds another value for it
     * (compared bit for bit, so NaN equals NaN and -0.0 differs from 0.0).

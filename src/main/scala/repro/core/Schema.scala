@@ -37,9 +37,6 @@ object Schema {
   def emptyMeta: Column  = map().cast(MetaType)
   def emptyStats: Column = map().cast(StatsType)
 
-  /** True iff `df` already carries the full unified schema. */
-  def isUnified(df: DataFrame): Boolean = columns.forall(df.columns.contains)
-
   /** Ensure the unified columns exist, adding empty/derived ones as needed.
     * Existing `text` content is preserved; a missing `id` is assigned from a
     * partition-stable monotonic id (deterministic for a fixed input layout).

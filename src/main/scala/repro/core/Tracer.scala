@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.collection.mutable.ArrayBuffer
 
@@ -9,7 +10,11 @@ import scala.collection.mutable.ArrayBuffer
   * editing differences for Mappers, removed members of duplicate clusters for
   * Deduplicators — so users can visually audit every OP's effect.
   *
-  * Tracing runs extra Spark actions per OP; it is opt-in on the [[Pipeline]].
+  * Tracing is opt-in on the [[Pipeline]] and does not change its plan. The
+  * pipeline reads a step's effects from the step's own materialized pass
+  * ([[RowStage.effects]] for a row run, an anti-join of input and output for
+  * a Deduplicator) and the Tracer reduces them in one Spark action per step:
+  * per-OP counts, and as samples the `maxSamples` smallest ids of each OP.
   */
 final class Tracer(val maxSamples: Int = 5) extends Serializable {
 
@@ -27,23 +32,28 @@ final class Tracer(val maxSamples: Int = 5) extends Serializable {
   def traces: Seq[Trace] = buf.toSeq
   def clear(): Unit = buf.clear()
 
-  def record(op: Op, before: DataFrame, after: DataFrame): Unit = op match {
-    case _: Mapper =>
-      val pre  = before.select(col(Schema.Id), col(Schema.Text) as "__pre")
-      val post = after.select(col(Schema.Id), col(Schema.Text) as "__post")
-      val diff = pre.join(post, Schema.Id).filter(col("__pre") =!= col("__post"))
-      val n    = diff.count()
-      val rows = diff.limit(maxSamples).collect()
-        .map(r => (r.getLong(0), r.getString(1), Option(r.getString(2))))
-      buf += Trace(op.name, "mapper", n, rows.toSeq)
-    case _: Filter | _: MetaFilter | _: Deduplicator =>
-      val dropped = before.join(after.select(Schema.Id), Seq(Schema.Id), "left_anti")
-      val n       = dropped.count()
-      val rows    = dropped.select(col(Schema.Id), col(Schema.Text)).limit(maxSamples).collect()
-        .map(r => (r.getLong(0), r.getString(1), Option.empty[String]))
-      buf += Trace(op.name, if (op.isInstanceOf[Deduplicator]) "deduplicator" else "filter", n, rows.toSeq)
-    case _ =>
-      buf += Trace(op.name, "other", 0L, Nil)
+  /** Record the effects of one step's `ops`, one row `(op, id, before,
+    * after)` per removed or edited sample, `op` being an index into `ops`.
+    * The samples are ranked in a projection of their own, so Spark trims
+    * each OP's rows to `maxSamples` before the shuffle.
+    */
+  def record(ops: Seq[Op], effects: DataFrame): Unit = {
+    val counts = effects.groupBy("op").count()
+      .select(col("op"), lit(null).cast("long"), lit(null).cast("string"), lit(null).cast("string"), col("count"))
+    val samples = effects.withColumn("rank", row_number().over(Window.partitionBy("op").orderBy(Schema.Id)))
+      .where(col("rank") <= maxSamples).drop("rank").withColumn("count", lit(null).cast("long"))
+    val (n, picked) = counts.union(samples).collect().partition(!_.isNullAt(4))
+    ops.zipWithIndex.foreach { case (op, i) =>
+      val kind = op match {
+        case _: Mapper => "mapper"
+        case _: Filter | _: MetaFilter => "filter"
+        case _: Deduplicator => "deduplicator"
+        case _ => "other"
+      }
+      val mine = picked.filter(_.getInt(0) == i).sortBy(_.getLong(1))
+      buf += Trace(op.name, kind, n.find(_.getInt(0) == i).fold(0L)(_.getLong(4)),
+        mine.map(r => (r.getLong(1), r.getString(2), Option(r.getString(3)))).toSeq)
+    }
   }
 
   /** Human-readable audit report, one block per OP. */

@@ -80,44 +80,33 @@ object DistExecutor {
     (r, (System.nanoTime() - t0) / 1000000L)
   }
 
+  /** Parse `lines` (shard-parallel on the pool if `parallelLoad`, else at
+    * the coordinator), then process the shards on the `nodes` workers.
+    */
+  private def run(lines: Vector[String], ops: Seq[Op], nodes: Int, parallelLoad: Boolean): RunResult = {
+    val pool = Executors.newFixedThreadPool(nodes)
+    def onPool[A, B](shards: Seq[A])(f: A => B): Seq[B] =
+      pool.invokeAll(shards.map(s => new Callable[B] { def call(): B = f(s) }).asJava).asScala.map(_.get()).toSeq
+    try {
+      val (shards, loadMs) = timed {
+        if (parallelLoad) onPool(shard(lines, nodes))(_.map(parse)) else shard(lines.map(parse), nodes)
+      }
+      val (processed, procMs) = timed { dedupGlobal(onPool(shards)(processRows(_, ops)).flatten, ops) }
+      RunResult(processed, loadMs, procMs)
+    } finally { pool.shutdown(); pool.awaitTermination(60, TimeUnit.SECONDS) }
+  }
+
   /** Ray-like: shard-parallel load and process across `nodes` workers. */
   object RayLikeExecutor {
-    def run(lines: Vector[String], ops: Seq[Op], nodes: Int): RunResult = {
-      val pool = Executors.newFixedThreadPool(nodes)
-      try {
-        val shards = shard(lines, nodes)
-        val (parsedShards, loadMs) = timed {
-          pool.invokeAll(shards.map(s => new Callable[Vector[Doc]] {
-            def call(): Vector[Doc] = s.map(parse)
-          }).asJava).asScala.map(_.get()).toSeq
-        }
-        val (processed, procMs) = timed {
-          val outs = pool.invokeAll(parsedShards.map(s => new Callable[Seq[Doc]] {
-            def call(): Seq[Doc] = processRows(s, ops)
-          }).asJava).asScala.map(_.get())
-          dedupGlobal(outs.flatten.toSeq, ops)
-        }
-        RunResult(processed, loadMs, procMs)
-      } finally { pool.shutdown(); pool.awaitTermination(60, TimeUnit.SECONDS) }
-    }
+    def run(lines: Vector[String], ops: Seq[Op], nodes: Int): RunResult =
+      DistExecutor.run(lines, ops, nodes, parallelLoad = true)
   }
 
   /** Beam-like: the source read is serialized at the coordinator; only the
     * process stage uses the `nodes` workers.
     */
   object BeamLikeExecutor {
-    def run(lines: Vector[String], ops: Seq[Op], nodes: Int): RunResult = {
-      val pool = Executors.newFixedThreadPool(nodes)
-      try {
-        val (parsed, loadMs) = timed { lines.map(parse) }
-        val (processed, procMs) = timed {
-          val outs = pool.invokeAll(shard(parsed, nodes).map(s => new Callable[Seq[Doc]] {
-            def call(): Seq[Doc] = processRows(s, ops)
-          }).asJava).asScala.map(_.get())
-          dedupGlobal(outs.flatten.toSeq, ops)
-        }
-        RunResult(processed, loadMs, procMs)
-      } finally { pool.shutdown(); pool.awaitTermination(60, TimeUnit.SECONDS) }
-    }
+    def run(lines: Vector[String], ops: Seq[Op], nodes: Int): RunResult =
+      DistExecutor.run(lines, ops, nodes, parallelLoad = false)
   }
 }

@@ -22,4 +22,10 @@ trait TestData { self: SparkSpec =>
 
   def ids(df: DataFrame): Seq[Long] =
     df.select(Schema.Id).collect().map(_.getLong(0)).toSeq.sorted
+
+  /** Rows by id as (id, text, stats). */
+  def rowsOf(df: DataFrame): Seq[(Long, String, Map[String, Double])] =
+    df.select(Schema.Id, Schema.Text, Schema.Stats).collect().map { r =>
+      (r.getLong(0), r.getString(1), if (r.isNullAt(2)) Map.empty[String, Double] else r.getMap[String, Double](2).toMap)
+    }.toSeq.sortBy(_._1)
 }

@@ -134,12 +134,6 @@ class CacheSpec extends SparkSpec with TestData {
     else body
   }
 
-  /** Rows by id as (id, text, stats). */
-  private def rowsOf(df: DataFrame): Seq[(Long, String, Map[String, Double])] =
-    df.select(Schema.Id, Schema.Text, Schema.Stats).collect().map { r =>
-      (r.getLong(0), r.getString(1), if (r.isNullAt(2)) Map.empty[String, Double] else r.getMap[String, Double](2).toMap)
-    }.toSeq.sortBy(_._1)
-
   private def keysOf(cm: CacheManager, pipe: Pipeline): Seq[String] =
     pipe.planned.scanLeft(cm.inputKey(pipe.inputId))((k, op) => cm.chainKey(k, op))
 

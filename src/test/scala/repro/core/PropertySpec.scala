@@ -1,12 +1,13 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.Prop.propBoolean
+import repro.{SparkSpec, TestData}
 
 /** Property tests over row-level OP semantics (raw ScalaCheck; the
   * scalatest/scalacheck bridge artifact is not available offline).
   */
-class PropertySpec extends AnyFunSuite {
+class PropertySpec extends SparkSpec with TestData {
 
   private val textGen: Gen[String] = Gen.listOf(Gen.oneOf(
     Gen.alphaNumStr.map(_.take(8)), Gen.const(" "), Gen.const("\n"),
@@ -85,6 +86,25 @@ class PropertySpec extends AnyFunSuite {
       RowStage(rowOps(OpFusion.plan(ops, reorder = true)), t, meta, Map.empty) ==
         RowStage(rowOps(OpFusion.plan(ops, reorder = false)), t, meta, Map.empty)
     }, tests = 1000)
+  }
+
+  test("a tracer records what applying each planned OP alone removes or edits") {
+    val pool: Seq[Op] = OpRegistry.specs.keys.toSeq.sorted.map(OpRegistry.build(_, Map.empty))
+      .collect { case r: RowOp => r } :+ Deduplicators.ExactDocDeduplicator()
+    val chains = Gen.choose(1, 6).flatMap(Gen.listOfN(_, Gen.oneOf(pool)))
+    val docs = Gen.choose(0, 12).flatMap(Gen.listOfN(_, for {
+      text <- Gen.frequency(4 -> textGen, 1 -> Gen.oneOf("Repeated  text", "repeated text"))
+      lang <- Gen.oneOf("EN", "ZH")
+    } yield (text, Map("language" -> lang, "suffix" -> ".txt", "stars" -> "50"))))
+    // Each case runs Spark jobs, so failures are reported unshrunk.
+    check("trace-diff", Prop.forAllNoShrink(chains, docs, Gen.oneOf(false, true)) { (ops, rows, fuse) =>
+      val df = docsWithMeta(rows: _*)
+      val tracer = new Tracer(maxSamples = 2)
+      val pipe = Pipeline(ops, fuse = fuse, reorder = fuse, tracer = Some(tracer))
+      pipe.run(df).collect()
+      val (got, want) = (TraceReference.of(tracer), TraceReference(pipe, df, maxSamples = 2))
+      (got == want) :| s"planned ${pipe.planned.map(_.name)}: traced $got, reference $want"
+    }, tests = 30)
   }
 
   test("content hash is whitespace/case invariant") {

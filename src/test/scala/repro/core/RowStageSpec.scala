@@ -64,9 +64,11 @@ class RowStageSpec extends SparkSpec with TestData {
       "mapper, minhash dedup" -> Seq(WhitespaceNormalizationMapper(), Deduplicators.MinHashDeduplicator()))
     fuse <- Seq(false, true)
     cached <- Seq(false, true)
-  } test(s"each row-level OP runs once per row that reaches it ($recipe, fuse=$fuse${if (cached) ", cached" else ""})") {
+    traced <- Seq(false, true)
+  } test(s"each row-level OP runs once per row that reaches it ($recipe, fuse=$fuse${if (cached) ", cached" else ""}" +
+      s"${if (traced) ", traced" else ""})") {
     val cache = Option.when(cached)(new CacheManager(spark, java.nio.file.Files.createTempDirectory("djcache").toString))
-    val pipe = Pipeline(counted(ops), fuse = fuse, reorder = fuse, cache = cache)
+    val pipe = Pipeline(counted(ops), fuse = fuse, reorder = fuse, tracer = Option.when(traced)(new Tracer()), cache = cache)
     // The input is checkpointed, since the optimizer would fold OPs over a
     // local relation into a constant; the output is collected whole, as a
     // write would, so no column pruning hides a re-evaluation.
