@@ -8,7 +8,7 @@ import repro.exp._
   */
 private[jobs] object JobSession {
   def spark(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -59,13 +59,18 @@ object Scalability extends TableJob("scalability", ScalabilityExperiment.run(_).
   */
 object ProcessRecipe {
   def main(args: Array[String]): Unit = {
-    require(args.length >= 3, "usage: ProcessRecipe <recipe.yaml> <in.jsonl> <out.parquet> [op.param=value …]")
     val s = JobSession.spark("process-recipe")
+    try run(s, args) finally s.stop()
+  }
+
+  /** Runs the recipe once; returns the sample count read back from its parquet output. */
+  def run(spark: SparkSession, args: Array[String]): Long = {
+    require(args.length >= 3, "usage: ProcessRecipe <recipe.yaml> <in.jsonl> <out.parquet> [op.param=value …]")
     val recipe = repro.core.Recipe.fromFile(args(0)).withOverrides(args.drop(3).toSeq)
-    val input  = repro.core.Formatters.JsonlFormatter(args(1)).load(s)
-    val out    = recipe.pipeline(fuse = true, reorder = true).run(input)
-    out.write.mode("overwrite").parquet(args(2))
-    println(s"wrote ${out.count()} samples to ${args(2)}")
-    s.stop()
+    val input  = repro.core.Formatters.JsonlFormatter(args(1)).load(spark)
+    recipe.pipeline(fuse = true, reorder = true).run(input).write.mode("overwrite").parquet(args(2))
+    val n = spark.read.parquet(args(2)).count()
+    println(s"wrote $n samples to ${args(2)}")
+    n
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Observation, SparkSession}
+import org.apache.spark.sql.{DataFrame, Observation}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.util.hashing.MurmurHash3
@@ -73,7 +73,7 @@ object Hashing {
 
 /** Distributed connected components over an undirected edge list, via
   * iterative min-label propagation (the standard bounded-diameter dataflow
-  * formulation). Used to turn LSH candidate pairs into duplicate clusters.
+  * formulation). [[OpUtil.lsh]] turns verified LSH pairs into clusters with it.
   *
   * Round 0 labels each vertex straight from the edge list with the minimum of
   * itself and its neighbours. Every later round is one aggregation that also
@@ -87,7 +87,7 @@ object ConnectedComponents {
   /** @param edges (src: Long, dst: Long) undirected
     * @return (id, comp) — comp is the minimum id reachable from `id`
     */
-  def run(spark: SparkSession, edges: DataFrame, maxIter: Int = 25): DataFrame = {
+  def run(edges: DataFrame, maxIter: Int = 25): DataFrame = {
     val e = edges.select(col("src").cast("long"), col("dst").cast("long"))
       .filter(col("src") =!= col("dst"))
       .select(least(col("src"), col("dst")) as "src", greatest(col("src"), col("dst")) as "dst")
@@ -125,16 +125,6 @@ object ConnectedComponents {
       .select("id", "comp")
       .localCheckpoint(true)
     (labels, changes.get("changed").asInstanceOf[Long])
-  }
-
-  /** Keep one row per duplicate cluster: components from `edges` lose all but
-    * their minimum-id member; rows not in any edge survive untouched.
-    */
-  def keepClusterHeads(df: DataFrame, edges: DataFrame): DataFrame = {
-    val spark = df.sparkSession
-    val comp = run(spark, edges)
-    val losers = comp.filter(col("comp") =!= col("id")).select(col("id"))
-    df.join(losers, Seq(Schema.Id), "left_anti")
   }
 }
 
@@ -183,9 +173,9 @@ object Deduplicators {
     }
   }
 
-  /** Near-duplicate removal via MinHash-LSH over word shingles: signatures →
-    * band buckets → candidate pairs → signature-estimated Jaccard check →
-    * connected components → keep cluster heads.
+  /** Near-duplicate removal via MinHash-LSH over word shingles ([[OpUtil.lsh]]):
+    * signatures → band buckets → star pairs to each bucket's minimum id →
+    * signature-estimated Jaccard check → connected components → keep cluster heads.
     *
     * Defaults (128 perms, 16 bands × 8 rows) put the S-curve threshold near
     * Jaccard ≈ 0.7, matching common LLM-corpus dedup settings.
@@ -196,7 +186,6 @@ object Deduplicators {
       shingle: Int = 3,
       jaccard: Double = 0.7,
       seed: Int = 42,
-      maxBucket: Int = 1000,
   ) extends Deduplicator {
     val name = "minhash_deduplicator"
     require(numPerm % bands == 0, "numPerm must be divisible by bands")
@@ -214,15 +203,15 @@ object Deduplicators {
       val estJaccard = udf { (a: Seq[Long], b: Seq[Long]) =>
         a.iterator.zip(b.iterator).count { case (x, y) => x == y }.toDouble / a.size
       }
-      OpUtil.lsh(df, HashCol, bands, maxBucket, bandKey(_, _), (a, b) => estJaccard(a, b) >= jaccard)
+      OpUtil.lsh(df, HashCol, bands, bandKey(_, _), (a, b) => estJaccard(a, b) >= jaccard)
     }
   }
 
-  /** Near-duplicate removal via 64-bit SimHash: block decomposition (4×16
-    * bits) yields candidates, exact Hamming distance verifies, connected
-    * components cluster — the "vector-based" method of Table 1.
+  /** Near-duplicate removal via 64-bit SimHash: each of the 4 16-bit blocks is
+    * an LSH band ([[OpUtil.lsh]]), exact Hamming distance verifies the star
+    * pairs, connected components cluster — the "vector-based" method of Table 1.
     */
-  final case class SimHashDeduplicator(hammingMax: Int = 3, maxBucket: Int = 1000) extends Deduplicator {
+  final case class SimHashDeduplicator(hammingMax: Int = 3) extends Deduplicator {
     val name = "simhash_deduplicator"
     private val BlockBits = 16
     private val Blocks = 4
@@ -235,7 +224,7 @@ object Deduplicators {
     def process(df: DataFrame): DataFrame = {
       val blockOf = udf { (sig: Long, block: Int) => (sig >>> (block * BlockBits)) & 0xffffL }
       val ham = udf((a: Long, b: Long) => Hashing.hamming(a, b))
-      OpUtil.lsh(df, HashCol, Blocks, maxBucket, blockOf(_, _), (a, b) => ham(a, b) <= hammingMax)
+      OpUtil.lsh(df, HashCol, Blocks, blockOf(_, _), (a, b) => ham(a, b) <= hammingMax)
     }
   }
 

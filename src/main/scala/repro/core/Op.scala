@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions.col
 
 /** Base classes of the standardized OP pool (paper Sec. 4 and Listing 1).
@@ -109,7 +110,6 @@ private[core] object OpUtil {
     * minimal `id` (stable across runs for a fixed input).
     */
   def keepFirstBy(df: DataFrame, groupCol: String): DataFrame = {
-    import org.apache.spark.sql.expressions.Window
     val w = Window.partitionBy(col(groupCol)).orderBy(col(Schema.Id))
     df.withColumn("__dj_rn", F.row_number().over(w))
       .filter(col("__dj_rn") === 1)
@@ -118,30 +118,29 @@ private[core] object OpUtil {
 
   /** The LSH skeleton of the near-duplicate Deduplicators over signatures in
     * `hashCol`: each signature goes into one bucket per band
-    * (`bucketKey(sig, band)`), each bucket of 2 to `maxBucket` ids yields
-    * star pairs to its minimum id, a pair whose signatures are `similar` is
-    * an edge, and each connected component keeps its minimum id. The input
-    * is materialized once, since it is read twice (signatures, then the
-    * kept rows): otherwise every upstream OP runs twice per row.
+    * (`bucketKey(sig, band)`), each member of a bucket pairs with the bucket's
+    * minimum id (star pairs are linear in bucket size, so no bucket is
+    * dropped), a pair whose signatures are `similar` is an edge, and each
+    * connected component keeps its minimum id. The input is materialized
+    * once, since it is read twice (signatures, then the kept rows):
+    * otherwise every upstream OP runs twice per row.
     */
-  def lsh(df: DataFrame, hashCol: String, bands: Int, maxBucket: Int,
+  def lsh(df: DataFrame, hashCol: String, bands: Int,
           bucketKey: (Column, Column) => Column, similar: (Column, Column) => Column): DataFrame = {
     val staged = df.localCheckpoint(true)
     val sigs = staged.select(col(Schema.Id), col(hashCol).as("sig"))
-    val buckets = sigs
+    val candidates = sigs
       .withColumn("band", F.explode(F.lit((0 until bands).toArray)))
       .withColumn("bkey", bucketKey(col("sig"), col("band")))
-      .groupBy("band", "bkey").agg(F.sort_array(F.collect_list(col(Schema.Id))) as "ids")
-      .filter(F.size(col("ids")).between(2, maxBucket))
-    // Star edges to the bucket minimum keep pair count linear in bucket size.
-    val candidates = buckets
-      .select(col("ids")(0) as "src", F.explode(F.slice(col("ids"), 2, maxBucket)) as "dst")
+      .select(F.min(col(Schema.Id)).over(Window.partitionBy("band", "bkey")) as "src", col(Schema.Id) as "dst")
+      .filter(col("src") =!= col("dst"))
       .distinct()
     val verified = candidates
       .join(sigs.withColumnRenamed(Schema.Id, "src").withColumnRenamed("sig", "sigA"), "src")
       .join(sigs.withColumnRenamed(Schema.Id, "dst").withColumnRenamed("sig", "sigB"), "dst")
       .filter(similar(col("sigA"), col("sigB")))
       .select("src", "dst")
-    ConnectedComponents.keepClusterHeads(staged.drop(hashCol), verified)
+    val losers = ConnectedComponents.run(verified).filter(col("comp") =!= col("id")).select(col("id"))
+    staged.drop(hashCol).join(losers, Seq(Schema.Id), "left_anti")
   }
 }

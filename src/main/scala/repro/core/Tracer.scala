@@ -18,18 +18,8 @@ import scala.collection.mutable.ArrayBuffer
   */
 final class Tracer(val maxSamples: Int = 5) extends Serializable {
 
-  /** One OP's recorded effect. `before`/`after` are sample texts; `after` is
-    * None for removals.
-    */
-  final case class Trace(
-      op: String,
-      kind: String, // "mapper" | "filter" | "deduplicator" | "other"
-      removedOrChanged: Long,
-      samples: Seq[(Long, String, Option[String])],
-  )
-
-  private val buf = ArrayBuffer.empty[Trace]
-  def traces: Seq[Trace] = buf.toSeq
+  private val buf = ArrayBuffer.empty[Tracer.Trace]
+  def traces: Seq[Tracer.Trace] = buf.toSeq
   def clear(): Unit = buf.clear()
 
   /** Record the effects of one step's `ops`, one row `(op, id, before,
@@ -51,7 +41,7 @@ final class Tracer(val maxSamples: Int = 5) extends Serializable {
         case _ => "other"
       }
       val mine = picked.filter(_.getInt(0) == i).sortBy(_.getLong(1))
-      buf += Trace(op.name, kind, n.find(_.getInt(0) == i).fold(0L)(_.getLong(4)),
+      buf += Tracer.Trace(op.name, kind, n.find(_.getInt(0) == i).fold(0L)(_.getLong(4)),
         mine.map(r => (r.getLong(1), r.getString(2), Option(r.getString(3)))).toSeq)
     }
   }
@@ -66,4 +56,16 @@ final class Tracer(val maxSamples: Int = 5) extends Serializable {
       }
       (head +: body).mkString("\n")
     }.mkString("\n")
+}
+
+object Tracer {
+  /** One OP's recorded effect. `before`/`after` are sample texts; `after` is
+    * None for removals.
+    */
+  final case class Trace(
+      op: String,
+      kind: String, // "mapper" | "filter" | "deduplicator" | "other"
+      removedOrChanged: Long,
+      samples: Seq[(Long, String, Option[String])],
+  )
 }

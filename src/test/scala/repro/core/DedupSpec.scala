@@ -46,7 +46,7 @@ class DedupSpec extends SparkSpec with TestData {
     val session = spark
     import session.implicits._
     val edges = Seq((1L, 2L), (2L, 3L), (10L, 11L)).toDF("src", "dst")
-    val comp = ConnectedComponents.run(spark, edges).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val comp = ConnectedComponents.run(edges).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     assert(comp(1L) == 1L && comp(2L) == 1L && comp(3L) == 1L)
     assert(comp(10L) == 10L && comp(11L) == 10L)
   }
@@ -55,7 +55,7 @@ class DedupSpec extends SparkSpec with TestData {
     val session = spark
     import session.implicits._
     val edges = (0L until 12L).map(i => (i, i + 1)).toDF("src", "dst")
-    val comp = ConnectedComponents.run(spark, edges).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val comp = ConnectedComponents.run(edges).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     assert(comp.values.toSet == Set(0L))
   }
 
@@ -63,7 +63,7 @@ class DedupSpec extends SparkSpec with TestData {
     val session = spark
     import session.implicits._
     val edges = (0L until 40L).map(i => (i, i + 1)).toDF("src", "dst")
-    val e = intercept[IllegalStateException](ConnectedComponents.run(spark, edges))
+    val e = intercept[IllegalStateException](ConnectedComponents.run(edges))
     assert(e.getMessage.contains("did not converge in 25 rounds"))
   }
 
@@ -76,7 +76,7 @@ class DedupSpec extends SparkSpec with TestData {
   }
 
   private def components(edges: Seq[(Long, Long)], maxIter: Int = 25): Map[Long, Long] =
-    ConnectedComponents.run(spark, edgesDf(edges), maxIter).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    ConnectedComponents.run(edgesDf(edges), maxIter).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
 
   test("connected components round count: a k-edge chain needs k + 1 rounds") {
     val comp = components(chain(5), maxIter = 6)
@@ -112,8 +112,8 @@ class DedupSpec extends SparkSpec with TestData {
   }
 
   test("connected components starts a bounded number of Spark jobs per round") {
-    val (jobs4, _) = countJobs(ConnectedComponents.run(spark, edgesDf(chain(4))))
-    val (jobs8, _) = countJobs(ConnectedComponents.run(spark, edgesDf(chain(8))))
+    val (jobs4, _) = countJobs(ConnectedComponents.run(edgesDf(chain(4))))
+    val (jobs8, _) = countJobs(ConnectedComponents.run(edgesDf(chain(8))))
     info(s"Spark jobs for a 4-edge and an 8-edge chain: $jobs4 and $jobs8")
     assert((jobs8 - jobs4) / 4.0 <= PerRoundJobs, s"$jobs4 vs $jobs8 jobs")
   }
@@ -169,6 +169,66 @@ class DedupSpec extends SparkSpec with TestData {
     val far  = (1 to 200).map(i => s"other$i").mkString(" ")
     val out = SimHashDeduplicator(hammingMax = 8)(docsDf(base, near, far))
     assert(ids(out) == Seq(0L, 2L))
+  }
+
+  /** `text` with its `i`-th space-separated word replaced. */
+  private def oneWordVariant(text: String, i: Int): String = {
+    val words = text.split(" ")
+    words.updated(i % words.length, s"variant$i").mkString(" ")
+  }
+
+  test("near-dup dedup keeps one doc of 1,210 near-copies, in buckets of over 1,000 ids") {
+    val base = repro.corpus.TextGen.cleanText(11, 200)
+    val df = docsDf(Seq.fill(1200)(base) ++ (0 until 10).map(i => oneWordVariant(base, 17 * i + 5)): _*)
+    assert(ids(ExactDocDeduplicator()(df)).size == 11)
+    assert(ids(MinHashDeduplicator()(df)) == Seq(0L))
+    assert(ids(SimHashDeduplicator()(df)) == Seq(0L))
+  }
+
+  test("near-dup dedup keeps the same ids as a local LSH reference") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    import scala.util.hashing.MurmurHash3
+    // Each doc is a fresh TextGen doc, an exact copy or a one-word variant of
+    // an earlier doc; variants of variants make chains.
+    val corpora = Gen.choose(0, 40).flatMap { n =>
+      Gen.listOfN(n, Gen.zip(Gen.choose(0, 2), Gen.choose(0, 1000))).map {
+        _.foldLeft(Vector.empty[String]) { case (docs, (kind, r)) =>
+          if (docs.isEmpty || kind == 0) docs :+ repro.corpus.TextGen.cleanText(r, 40)
+          else if (kind == 1) docs :+ docs(r % docs.size)
+          else docs :+ oneWordVariant(docs(r % docs.size), r)
+        }
+      }
+    }
+    // Star edges from each bucket's minimum id, verified, then union-find
+    // cluster heads: the ids the Deduplicator must keep.
+    def reference[S](docs: Seq[String], sig: String => S, keys: S => Seq[Any], similar: (S, S) => Boolean): Seq[Long] = {
+      val sigs = docs.map(sig).toIndexedSeq
+      val parent = scala.collection.mutable.Map.empty[Int, Int]
+      def find(v: Int): Int = { val p = parent.getOrElseUpdate(v, v); if (p == v) v else find(p) }
+      val buckets = sigs.indices.flatMap(i => keys(sigs(i)).zipWithIndex.map(k => k -> i)).groupMap(_._1)(_._2)
+      for (members <- buckets.values; head = members.min; m <- members if m != head && similar(sigs(head), sigs(m))) {
+        val (ra, rb) = (find(head), find(m))
+        parent(math.max(ra, rb)) = math.min(ra, rb)
+      }
+      sigs.indices.filter(i => find(i) == i).map(_.toLong)
+    }
+    val minhash = MinHashDeduplicator()
+    val rows = minhash.numPerm / minhash.bands
+    def minhashRef(docs: Seq[String]) = reference[Array[Long]](docs,
+      t => Hashing.minhash(Tokenizers.words(t), minhash.numPerm, minhash.shingle, minhash.seed),
+      sig => (0 until minhash.bands).map(b => MurmurHash3.arrayHash(sig.slice(b * rows, (b + 1) * rows), minhash.seed)),
+      (a, b) => a.zip(b).count { case (x, y) => x == y }.toDouble / a.length >= minhash.jaccard)
+    val simhash = SimHashDeduplicator()
+    def simhashRef(docs: Seq[String]) = reference[Long](docs,
+      t => Hashing.simhash(Tokenizers.words(t)),
+      sig => (0 until 4).map(b => (sig >>> (b * 16)) & 0xffffL),
+      (a, b) => Hashing.hamming(a, b) <= simhash.hammingMax)
+    val prop = Prop.forAllNoShrink(corpora) { docs =>
+      val df = docsDf(docs: _*)
+      ids(minhash(df)) == minhashRef(docs) && ids(simhash(df)) == simhashRef(docs)
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(20), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("exact dedup result equals DuckDB distinct-count oracle") {
