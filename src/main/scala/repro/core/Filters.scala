@@ -24,7 +24,8 @@ object WordLists {
 /** The Filter pool: conditional sample removal OPs (paper Table 1: filter by
   * stats, meta-info, model scores, external resources). Each filter writes
   * its statistics into the `stats` map (decoupled `compute_stats`) and keeps
-  * samples via a threshold predicate (`keepRow`).
+  * samples via a threshold predicate (`keepRow`); every stats Filter here
+  * is a [[StatFilter]] over one key.
   */
 object Filters {
   import WordLists._
@@ -32,196 +33,157 @@ object Filters {
   private def ratio(num: Double, den: Double): Double = if (den <= 0) 0.0 else num / den
 
   /** Keep samples whose character length lies in [minLen, maxLen]. */
-  final case class TextLengthFilter(minLen: Int = 10, maxLen: Int = 1000000) extends Filter {
+  final case class TextLengthFilter(minLen: Int = 10, maxLen: Int = 1000000) extends StatFilter("text_len", Set.empty) {
     val name = "text_length_filter"
-    val statsKeys = Seq("text_len")
-    val contexts = Set.empty[ContextKey.Value]
-    def computeStatsRow(ctx: TextContext) = Map("text_len" -> ctx.length.toDouble)
-    def keepRow(s: Map[String, Double]) = s("text_len") >= minLen && s("text_len") <= maxLen
+    def stat(ctx: TextContext) = ctx.length.toDouble
+    def keep(v: Double) = v >= minLen && v <= maxLen
   }
 
   /** Keep samples whose word count lies in [minWords, maxWords]. */
-  final case class WordCountFilter(minWords: Int = 5, maxWords: Int = 1000000) extends Filter {
+  final case class WordCountFilter(minWords: Int = 5, maxWords: Int = 1000000) extends StatFilter("num_words", Set(ContextKey.Words)) {
     val name = "word_count_filter"
-    val statsKeys = Seq("num_words")
-    val contexts = Set(ContextKey.Words)
-    def computeStatsRow(ctx: TextContext) = Map("num_words" -> ctx.words.length.toDouble)
-    def keepRow(s: Map[String, Double]) = s("num_words") >= minWords && s("num_words") <= maxWords
+    def stat(ctx: TextContext) = ctx.words.length.toDouble
+    def keep(v: Double) = v >= minWords && v <= maxWords
   }
 
   /** Keep samples whose mean word length lies in [min, max] — catches both
     * char-soup (huge) and single-letter debris (tiny).
     */
-  final case class AvgWordLengthFilter(min: Double = 2.0, max: Double = 12.0) extends Filter {
+  final case class AvgWordLengthFilter(min: Double = 2.0, max: Double = 12.0)
+      extends StatFilter("avg_word_len", Set(ContextKey.Words)) {
     val name = "avg_word_length_filter"
-    val statsKeys = Seq("avg_word_len")
-    val contexts = Set(ContextKey.Words)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val w = ctx.words
-      Map("avg_word_len" -> ratio(w.map(_.length.toDouble).sum, w.length.toDouble))
+      ratio(w.map(_.length.toDouble).sum, w.length.toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("avg_word_len") >= min && s("avg_word_len") <= max
+    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples with a line count in [min, max]. */
-  final case class LinesCountFilter(min: Int = 1, max: Int = 100000) extends Filter {
+  final case class LinesCountFilter(min: Int = 1, max: Int = 100000) extends StatFilter("num_lines", Set(ContextKey.Lines)) {
     val name = "lines_count_filter"
-    val statsKeys = Seq("num_lines")
-    val contexts = Set(ContextKey.Lines)
-    def computeStatsRow(ctx: TextContext) = Map("num_lines" -> ctx.lines.length.toDouble)
-    def keepRow(s: Map[String, Double]) = s("num_lines") >= min && s("num_lines") <= max
+    def stat(ctx: TextContext) = ctx.lines.length.toDouble
+    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose longest line is within [min, max] chars (minified
     * JS / base64 blobs have enormous single lines).
     */
-  final case class MaxLineLengthFilter(min: Int = 0, max: Int = 5000) extends Filter {
+  final case class MaxLineLengthFilter(min: Int = 0, max: Int = 5000) extends StatFilter("max_line_len", Set(ContextKey.Lines)) {
     val name = "max_line_length_filter"
-    val statsKeys = Seq("max_line_len")
-    val contexts = Set(ContextKey.Lines)
-    def computeStatsRow(ctx: TextContext) = {
-      val m = if (ctx.lines.isEmpty) 0 else ctx.lines.map(_.length).max
-      Map("max_line_len" -> m.toDouble)
-    }
-    def keepRow(s: Map[String, Double]) = s("max_line_len") >= min && s("max_line_len") <= max
+    def stat(ctx: TextContext) = (if (ctx.lines.isEmpty) 0 else ctx.lines.map(_.length).max).toDouble
+    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose mean line length is within [min, max] chars. */
-  final case class AvgLineLengthFilter(min: Double = 5.0, max: Double = 2000.0) extends Filter {
+  final case class AvgLineLengthFilter(min: Double = 5.0, max: Double = 2000.0)
+      extends StatFilter("avg_line_len", Set(ContextKey.Lines)) {
     val name = "avg_line_length_filter"
-    val statsKeys = Seq("avg_line_len")
-    val contexts = Set(ContextKey.Lines)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val ls = ctx.lines.filter(_.nonEmpty)
-      Map("avg_line_len" -> ratio(ls.map(_.length.toDouble).sum, ls.length.toDouble))
+      ratio(ls.map(_.length.toDouble).sum, ls.length.toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("avg_line_len") >= min && s("avg_line_len") <= max
+    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose alphanumeric-character ratio is at least `min`. */
-  final case class AlphanumericRatioFilter(min: Double = 0.6) extends Filter {
+  final case class AlphanumericRatioFilter(min: Double = 0.6) extends StatFilter("alnum_ratio", Set(ContextKey.Chars)) {
     val name = "alphanumeric_ratio_filter"
-    val statsKeys = Seq("alnum_ratio")
-    val contexts = Set(ContextKey.Chars)
-    def computeStatsRow(ctx: TextContext) =
-      Map("alnum_ratio" -> ratio(ctx.alnumChars.toDouble, ctx.nonSpaceChars.toDouble))
-    def keepRow(s: Map[String, Double]) = s("alnum_ratio") >= min
+    def stat(ctx: TextContext) = ratio(ctx.alnumChars.toDouble, ctx.nonSpaceChars.toDouble)
+    def keep(v: Double) = v >= min
   }
 
   /** Keep samples whose whitespace ratio is at most `max` (ascii-art, layout
     * debris).
     */
-  final case class WhitespaceRatioFilter(max: Double = 0.5) extends Filter {
+  final case class WhitespaceRatioFilter(max: Double = 0.5) extends StatFilter("space_ratio", Set(ContextKey.Chars)) {
     val name = "whitespace_ratio_filter"
-    val statsKeys = Seq("space_ratio")
-    val contexts = Set(ContextKey.Chars)
-    def computeStatsRow(ctx: TextContext) =
-      Map("space_ratio" -> ratio((ctx.length - ctx.nonSpaceChars).toDouble, ctx.length.toDouble))
-    def keepRow(s: Map[String, Double]) = s("space_ratio") <= max
+    def stat(ctx: TextContext) = ratio((ctx.length - ctx.nonSpaceChars).toDouble, ctx.length.toDouble)
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose special-character (non-alnum, non-space, non-basic-
     * punctuation) ratio is at most `max`.
     */
-  final case class SpecialCharRatioFilter(max: Double = 0.25) extends Filter {
+  final case class SpecialCharRatioFilter(max: Double = 0.25) extends StatFilter("special_ratio", Set(ContextKey.Chars)) {
     val name = "special_char_ratio_filter"
-    val statsKeys = Seq("special_ratio")
-    val contexts = Set(ContextKey.Chars)
     private val basicPunct = ".,;:!?'\"()-\n\t ".toSet
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val t = ctx.text
       val special = t.count(c => !Character.isLetterOrDigit(c) && !basicPunct.contains(c) && !Tokenizers.isCjk(c))
-      Map("special_ratio" -> ratio(special.toDouble, t.length.toDouble))
+      ratio(special.toDouble, t.length.toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("special_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose most frequent character n-gram covers at most `max`
     * of all character n-grams (catches `aaaaaa…` / repeated banners).
     */
-  final case class CharRepetitionFilter(n: Int = 10, max: Double = 0.2) extends Filter {
+  final case class CharRepetitionFilter(n: Int = 10, max: Double = 0.2) extends StatFilter("char_rep_ratio", Set(ContextKey.Chars)) {
     val name = "char_repetition_filter"
-    val statsKeys = Seq("char_rep_ratio")
-    val contexts = Set(ContextKey.Chars)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val t = ctx.text
-      val v =
-        if (t.length < n + 1) 0.0
-        else {
-          val counts = new scala.collection.mutable.HashMap[String, Int]
-          var i = 0
-          while (i + n <= t.length) { val g = t.substring(i, i + n); counts.update(g, counts.getOrElse(g, 0) + 1); i += 1 }
-          ratio(counts.values.max.toDouble, (t.length - n + 1).toDouble)
-        }
-      Map("char_rep_ratio" -> v)
+      if (t.length < n + 1) 0.0
+      else {
+        val counts = new scala.collection.mutable.HashMap[String, Int]
+        var i = 0
+        while (i + n <= t.length) { val g = t.substring(i, i + n); counts.update(g, counts.getOrElse(g, 0) + 1); i += 1 }
+        ratio(counts.values.max.toDouble, (t.length - n + 1).toDouble)
+      }
     }
-    def keepRow(s: Map[String, Double]) = s("char_rep_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose duplicated word n-grams cover at most `max` of all
     * word n-grams (the classic "dup 5-gram fraction" web filter).
     */
-  final case class WordRepetitionFilter(n: Int = 5, max: Double = 0.3) extends Filter {
+  final case class WordRepetitionFilter(n: Int = 5, max: Double = 0.3) extends StatFilter("word_rep_ratio", Set(ContextKey.Words)) {
     val name = "word_repetition_filter"
-    val statsKeys = Seq("word_rep_ratio")
-    val contexts = Set(ContextKey.Words)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val grams = Tokenizers.ngrams(ctx.words, n)
-      val v =
-        if (grams.isEmpty) 0.0
-        else {
-          val counts = grams.groupBy(identity).view.mapValues(_.length)
-          val dup = counts.values.filter(_ > 1).sum
-          ratio(dup.toDouble, grams.length.toDouble)
-        }
-      Map("word_rep_ratio" -> v)
+      if (grams.isEmpty) 0.0
+      else {
+        val counts = grams.groupBy(identity).view.mapValues(_.length)
+        val dup = counts.values.filter(_ > 1).sum
+        ratio(dup.toDouble, grams.length.toDouble)
+      }
     }
-    def keepRow(s: Map[String, Double]) = s("word_rep_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose stopword ratio is at least `min` — natural prose has
     * plenty; token soup does not (external-resource-backed filter).
     */
-  final case class StopwordRatioFilter(min: Double = 0.1) extends Filter {
+  final case class StopwordRatioFilter(min: Double = 0.1) extends StatFilter("stopword_ratio", Set(ContextKey.Words)) {
     val name = "stopword_ratio_filter"
-    val statsKeys = Seq("stopword_ratio")
-    val contexts = Set(ContextKey.Words)
-    def computeStatsRow(ctx: TextContext) =
-      Map("stopword_ratio" -> ratio(ctx.words.count(stopwords.contains).toDouble, ctx.words.length.toDouble))
-    def keepRow(s: Map[String, Double]) = s("stopword_ratio") >= min
+    def stat(ctx: TextContext) = ratio(ctx.words.count(stopwords.contains).toDouble, ctx.words.length.toDouble)
+    def keep(v: Double) = v >= min
   }
 
   /** Keep samples whose flagged-word ratio is at most `max` (detoxification). */
-  final case class FlaggedWordsFilter(max: Double = 0.01) extends Filter {
+  final case class FlaggedWordsFilter(max: Double = 0.01) extends StatFilter("flagged_ratio", Set(ContextKey.Words)) {
     val name = "flagged_words_filter"
-    val statsKeys = Seq("flagged_ratio")
-    val contexts = Set(ContextKey.Words)
-    def computeStatsRow(ctx: TextContext) =
-      Map("flagged_ratio" -> ratio(ctx.words.count(flagged.contains).toDouble, ctx.words.length.toDouble))
-    def keepRow(s: Map[String, Double]) = s("flagged_ratio") <= max
+    def stat(ctx: TextContext) = ratio(ctx.words.count(flagged.contains).toDouble, ctx.words.length.toDouble)
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples that look like the target language. Heuristic language-ID
     * score: for "en", the fraction of words that are ASCII-alphabetic plus a
     * stopword bonus; for "zh", the CJK character ratio.
     */
-  final case class LanguageScoreFilter(lang: String = "en", min: Double = 0.5) extends Filter {
+  final case class LanguageScoreFilter(lang: String = "en", min: Double = 0.5)
+      extends StatFilter("lang_score", Set(ContextKey.Words)) {
     val name = "language_score_filter"
-    val statsKeys = Seq("lang_score")
-    val contexts = Set(ContextKey.Words)
-    def computeStatsRow(ctx: TextContext) = {
-      val v = lang match {
-        case "zh" =>
-          ratio(ctx.text.count(Tokenizers.isCjk).toDouble, ctx.nonSpaceChars.toDouble)
-        case _ =>
-          val w = ctx.words
-          val alpha = w.count(_.forall(c => c >= 'a' && c <= 'z'))
-          val stop  = w.count(stopwords.contains)
-          0.7 * ratio(alpha.toDouble, w.length.toDouble) + 0.3 * math.min(1.0, 4.0 * ratio(stop.toDouble, w.length.toDouble))
-      }
-      Map("lang_score" -> v)
+    def stat(ctx: TextContext) = lang match {
+      case "zh" =>
+        ratio(ctx.text.count(Tokenizers.isCjk).toDouble, ctx.nonSpaceChars.toDouble)
+      case _ =>
+        val w = ctx.words
+        val alpha = w.count(_.forall(c => c >= 'a' && c <= 'z'))
+        val stop  = w.count(stopwords.contains)
+        0.7 * ratio(alpha.toDouble, w.length.toDouble) + 0.3 * math.min(1.0, 4.0 * ratio(stop.toDouble, w.length.toDouble))
     }
-    def keepRow(s: Map[String, Double]) = s("lang_score") >= min
+    def keep(v: Double) = v >= min
   }
 
   /** Keep samples whose unigram perplexity under a reference language model
@@ -233,27 +195,23 @@ object Filters {
       maxPpl: Double = 1500.0,
       refLogP: Map[String, Double] = PerplexityFilter.defaultRef,
       oovLogP: Double = math.log(1e-6),
-  ) extends Filter {
+  ) extends StatFilter("perplexity", Set(ContextKey.Words)) {
     val name = "perplexity_filter"
-    val statsKeys = Seq("perplexity")
-    val contexts = Set(ContextKey.Words)
     override val cost = 2
     /** The reference table enters the key as its size and an order-independent
       * fingerprint, so equal-size tables do not share cache entries.
       */
     override lazy val signature: String =
       s"PerplexityFilter($maxPpl,refSize=${refLogP.size},ref=${PerplexityFilter.fingerprint(refLogP)},$oovLogP)"
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val w = ctx.words
-      val v =
-        if (w.isEmpty) maxPpl + 1.0
-        else {
-          val sum = w.map(t => refLogP.getOrElse(t, oovLogP)).sum
-          math.min(1e9, math.exp(-sum / w.length))
-        }
-      Map("perplexity" -> v)
+      if (w.isEmpty) maxPpl + 1.0
+      else {
+        val sum = w.map(t => refLogP.getOrElse(t, oovLogP)).sum
+        math.min(1e9, math.exp(-sum / w.length))
+      }
     }
-    def keepRow(s: Map[String, Double]) = s("perplexity") <= maxPpl
+    def keep(v: Double) = v <= maxPpl
   }
   object PerplexityFilter {
     /** SHA-256 prefix of the table's entries in key order. */
@@ -276,129 +234,101 @@ object Filters {
   /** Keep samples whose word-distribution Shannon entropy (bits) lies in
     * [min, max] — low = repeated banner, high = uniform random soup.
     */
-  final case class WordEntropyFilter(min: Double = 1.5, max: Double = 12.0) extends Filter {
+  final case class WordEntropyFilter(min: Double = 1.5, max: Double = 12.0) extends StatFilter("word_entropy", Set(ContextKey.Words)) {
     val name = "word_entropy_filter"
-    val statsKeys = Seq("word_entropy")
-    val contexts = Set(ContextKey.Words)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val w = ctx.words
-      val v =
-        if (w.isEmpty) 0.0
-        else {
-          val n = w.length.toDouble
-          w.groupBy(identity).values.map { g =>
-            val p = g.length / n; -p * math.log(p) / math.log(2)
-          }.sum
-        }
-      Map("word_entropy" -> v)
+      if (w.isEmpty) 0.0
+      else {
+        val n = w.length.toDouble
+        w.groupBy(identity).values.map { g =>
+          val p = g.length / n; -p * math.log(p) / math.log(2)
+        }.sum
+      }
     }
-    def keepRow(s: Map[String, Double]) = s("word_entropy") >= min && s("word_entropy") <= max
+    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples where at most `max` of non-empty lines are duplicates of an
     * earlier line in the same sample.
     */
-  final case class DuplicateLineRatioFilter(max: Double = 0.3) extends Filter {
+  final case class DuplicateLineRatioFilter(max: Double = 0.3) extends StatFilter("dup_line_ratio", Set(ContextKey.Lines)) {
     val name = "duplicate_line_ratio_filter"
-    val statsKeys = Seq("dup_line_ratio")
-    val contexts = Set(ContextKey.Lines)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val ls = ctx.lines.map(_.trim).filter(_.nonEmpty)
-      val dup = ls.length - ls.distinct.length
-      Map("dup_line_ratio" -> ratio(dup.toDouble, ls.length.toDouble))
+      ratio((ls.length - ls.distinct.length).toDouble, ls.length.toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("dup_line_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples where at most `max` of paragraphs are duplicates within the
     * sample.
     */
-  final case class DuplicateParagraphRatioFilter(max: Double = 0.3) extends Filter {
+  final case class DuplicateParagraphRatioFilter(max: Double = 0.3) extends StatFilter("dup_para_ratio", Set(ContextKey.Paragraphs)) {
     val name = "duplicate_paragraph_ratio_filter"
-    val statsKeys = Seq("dup_para_ratio")
-    val contexts = Set(ContextKey.Paragraphs)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val ps = ctx.paragraphs
-      val dup = ps.length - ps.distinct.length
-      Map("dup_para_ratio" -> ratio(dup.toDouble, ps.length.toDouble))
+      ratio((ps.length - ps.distinct.length).toDouble, ps.length.toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("dup_para_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose digit-character ratio is at most `max` (tables, logs,
     * serial-number dumps).
     */
-  final case class NumericRatioFilter(max: Double = 0.3) extends Filter {
+  final case class NumericRatioFilter(max: Double = 0.3) extends StatFilter("numeric_ratio", Set(ContextKey.Chars)) {
     val name = "numeric_ratio_filter"
-    val statsKeys = Seq("numeric_ratio")
-    val contexts = Set(ContextKey.Chars)
-    def computeStatsRow(ctx: TextContext) =
-      Map("numeric_ratio" -> ratio(ctx.text.count(Character.isDigit).toDouble, ctx.nonSpaceChars.toDouble))
-    def keepRow(s: Map[String, Double]) = s("numeric_ratio") <= max
+    def stat(ctx: TextContext) = ratio(ctx.text.count(Character.isDigit).toDouble, ctx.nonSpaceChars.toDouble)
+    def keep(v: Double) = v <= max
   }
 
-  /** Keep samples whose token count, under a selectable tokenizer, lies in
-    * [min, max] — the paper's "number of tokens" knob.
+  /** Keep samples whose token count, under a selectable tokenizer
+    * ([[Tokenizers.byName]]), lies in [min, max] — the paper's "number of
+    * tokens" knob. The standard tokenizer reads the shared Words context.
     */
-  final case class TokenCountFilter(min: Int = 5, max: Int = 1000000, tokenizer: String = "standard") extends Filter {
+  final case class TokenCountFilter(min: Int = 5, max: Int = 1000000, tokenizer: String = "standard")
+      extends StatFilter("num_tokens", Set(ContextKey.Words)) {
     val name = "token_count_filter"
-    val statsKeys = Seq("num_tokens")
-    val contexts = Set(ContextKey.Words)
-    private def tokenize(t: String): Array[String] = tokenizer match {
-      case "code" => Tokenizers.codeTokens(t)
-      case "cjk"  => Tokenizers.cjkChars(t)
-      case _      => null // standard: reuse the shared Words context
-    }
-    def computeStatsRow(ctx: TextContext) = {
-      val toks = tokenize(ctx.text)
-      val cnt  = if (toks == null) ctx.words.length else toks.length
-      Map("num_tokens" -> cnt.toDouble)
-    }
-    def keepRow(s: Map[String, Double]) = s("num_tokens") >= min && s("num_tokens") <= max
+    private val tokenize = Tokenizers.byName(tokenizer)
+    private val shared = tokenizer == "standard"
+    def stat(ctx: TextContext) = (if (shared) ctx.words else tokenize(ctx.text)).length.toDouble
+    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose symbol-to-word ratio (#, …, * vs words) is at most
     * `max` — markdown/forum debris.
     */
-  final case class SymbolToWordRatioFilter(max: Double = 0.4) extends Filter {
+  final case class SymbolToWordRatioFilter(max: Double = 0.4) extends StatFilter("symbol_word_ratio", Set(ContextKey.Words)) {
     val name = "symbol_to_word_ratio_filter"
-    val statsKeys = Seq("symbol_word_ratio")
-    val contexts = Set(ContextKey.Words)
     private val symbols = Set('#', '*', '~', '^', '|')
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val sym = ctx.text.count(symbols.contains) + "\\.\\.\\.".r.findAllIn(ctx.text).length
-      Map("symbol_word_ratio" -> ratio(sym.toDouble, math.max(1, ctx.words.length).toDouble))
+      ratio(sym.toDouble, math.max(1, ctx.words.length).toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("symbol_word_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples where at most `max` of lines end with an ellipsis
     * (truncated-teaser listicles).
     */
-  final case class EllipsisLineRatioFilter(max: Double = 0.3) extends Filter {
+  final case class EllipsisLineRatioFilter(max: Double = 0.3) extends StatFilter("ellipsis_line_ratio", Set(ContextKey.Lines)) {
     val name = "ellipsis_line_ratio_filter"
-    val statsKeys = Seq("ellipsis_line_ratio")
-    val contexts = Set(ContextKey.Lines)
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val ls = ctx.lines.map(_.trim).filter(_.nonEmpty)
-      val e  = ls.count(l => l.endsWith("...") || l.endsWith("…"))
-      Map("ellipsis_line_ratio" -> ratio(e.toDouble, ls.length.toDouble))
+      ratio(ls.count(l => l.endsWith("...") || l.endsWith("…")).toDouble, ls.length.toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("ellipsis_line_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   /** Keep samples where at most `max` of lines start with a bullet marker. */
-  final case class BulletLineRatioFilter(max: Double = 0.9) extends Filter {
+  final case class BulletLineRatioFilter(max: Double = 0.9) extends StatFilter("bullet_line_ratio", Set(ContextKey.Lines)) {
     val name = "bullet_line_ratio_filter"
-    val statsKeys = Seq("bullet_line_ratio")
-    val contexts = Set(ContextKey.Lines)
     private val bullets = Seq("-", "*", "•", "‣", "▪")
-    def computeStatsRow(ctx: TextContext) = {
+    def stat(ctx: TextContext) = {
       val ls = ctx.lines.map(_.trim).filter(_.nonEmpty)
-      val b  = ls.count(l => bullets.exists(l.startsWith))
-      Map("bullet_line_ratio" -> ratio(b.toDouble, ls.length.toDouble))
+      ratio(ls.count(l => bullets.exists(l.startsWith)).toDouble, ls.length.toDouble)
     }
-    def keepRow(s: Map[String, Double]) = s("bullet_line_ratio") <= max
+    def keep(v: Double) = v <= max
   }
 
   // ---- meta-based filters (paper: "filter by meta-info", "GitHub star counts") ----

@@ -6,7 +6,7 @@ import java.util.regex.Pattern
 /** The Mapper pool: single-sample in-place text editing OPs (paper Table 1,
   * "Transform specified headers, textual elements; fix messy codes; enable
   * text enhancement"). All are pure, deterministic `String => String`
-  * functions lifted to DataFrames by the [[Mapper]] base class.
+  * functions; [[RowStage]] runs them, on Spark inside one row pass.
   */
 object Mappers {
 

@@ -12,10 +12,12 @@ import org.apache.spark.sql.functions.col
   *  - [[Filter]]        conditional sample removal with the stats computation
   *                      (`computeStatsRow`) decoupled from the boolean decision
   *                      (`keepRow`) — the decoupling the paper highlights so
-  *                      the Analyzer can reuse full-dataset statistics;
+  *                      the Analyzer can reuse full-dataset statistics; a
+  *                      [[StatFilter]] is the one-stat case;
   *  - [[Deduplicator]]  dataset-level duplicate removal, with fingerprinting
   *                      (`computeHash`) decoupled from removal (`process`).
   *
+  * Each OP's [[OpCategory]] is fixed by the base class it extends.
   * Mappers, Filters and MetaFilters are [[RowOp]]s: they expose row-level
   * pure functions, which [[RowStage]] interprets for the Spark pipeline and
   * the distributed-runtime simulator (`repro.dist`) alike.
@@ -23,6 +25,9 @@ import org.apache.spark.sql.functions.col
 sealed trait Op extends Serializable {
   /** snake_case registry name, e.g. `text_length_filter`. */
   def name: String
+
+  /** Which of the four OP categories this OP belongs to. */
+  def category: OpCategory
 
   /** Stable signature for cache keys: registry name + constructor params.
     * All OPs are case classes, whose `toString` includes every parameter.
@@ -35,6 +40,7 @@ sealed trait Op extends Serializable {
 
 /** Dataset-level loader/unifier; implementations in [[Formatters]]. */
 trait Formatter extends Op {
+  final def category: OpCategory = OpCategory.Formatter
   def load(spark: org.apache.spark.sql.SparkSession): DataFrame
   /** Formatters are sources; applying one to an existing df unifies it. */
   override def apply(df: DataFrame): DataFrame = Schema.ensure(df)
@@ -50,6 +56,7 @@ sealed trait RowOp extends Op {
 
 /** Single-sample in-place text editing (paper: "Mappers"). */
 trait Mapper extends RowOp {
+  final def category: OpCategory = OpCategory.Mapper
   /** Row-level edit; must accept any string including empty. */
   def mapText(text: String): String
 }
@@ -61,6 +68,8 @@ trait Mapper extends RowOp {
   * filtering ([[Analyzer.computeStats]]).
   */
 trait Filter extends RowOp {
+  final def category: OpCategory = OpCategory.Filter
+
   /** Keys this filter writes into the `stats` map. */
   def statsKeys: Seq[String]
 
@@ -79,16 +88,35 @@ trait Filter extends RowOp {
   def keepRow(stats: Map[String, Double]): Boolean
 }
 
+/** A [[Filter]] over one stats value: it writes `stat` under `key` and keeps
+  * a sample if `keep` holds for that value, so the key is named once.
+  */
+abstract class StatFilter(key: String, val contexts: Set[ContextKey.Value]) extends Filter {
+  final val statsKeys: Seq[String] = Seq(key)
+
+  /** The sample's value of this filter's stats key. */
+  def stat(ctx: TextContext): Double
+
+  /** Whether a sample whose stats value is `v` stays. */
+  def keep(v: Double): Boolean
+
+  final def computeStatsRow(ctx: TextContext): Map[String, Double] = Map(key -> stat(ctx))
+  final def keepRow(stats: Map[String, Double]): Boolean = keep(stats(key))
+}
+
 /** Filters whose decision depends on `meta`, not text stats (e.g. language
   * tags, GitHub star counts). They take part in reordering as cost-0 OPs
   * ([[OpFusion.plan]]).
   */
 trait MetaFilter extends RowOp {
+  final def category: OpCategory = OpCategory.Filter
   def keepMeta(meta: Map[String, String]): Boolean
 }
 
 /** Dataset-level duplicate removal (paper: "Deduplicators", Listing 1). */
 trait Deduplicator extends Op {
+  final def category: OpCategory = OpCategory.Deduplicator
+
   /** Internal column the fingerprint is written to. */
   protected val HashCol = "__dj_hash"
 
@@ -102,6 +130,17 @@ trait Deduplicator extends Op {
 
   override def apply(df: DataFrame): DataFrame =
     process(computeHash(df)).select(df.columns.map(col).toSeq: _*)
+}
+
+/** The four OP categories of the paper's Table 1; `toString` is the
+  * category's lowercase name, as recipes and reports print it.
+  */
+sealed abstract class OpCategory(override val toString: String) extends Serializable
+object OpCategory {
+  case object Formatter extends OpCategory("formatter")
+  case object Mapper extends OpCategory("mapper")
+  case object Filter extends OpCategory("filter")
+  case object Deduplicator extends OpCategory("deduplicator")
 }
 
 /** Utilities shared by OP implementations. */

@@ -22,6 +22,10 @@ final case class Pipeline(
       */
     inputId: String = "input",
 ) {
+  // A Formatter is a source: in the OP list it would only re-unify the
+  // dataset and silently ignore its own parameters (e.g. `path`).
+  for (f <- ops.collectFirst { case f: Formatter => f.name })
+    throw new IllegalArgumentException(s"formatter '$f' cannot run inside a pipeline; load the input with it instead")
 
   /** The OP list actually executed, after reordering. */
   lazy val planned: Seq[Op] = OpFusion.plan(ops, reorder)

@@ -50,80 +50,77 @@ final case class OpParams(raw: Map[String, Any]) {
   * "advanced extension" path.
   */
 object OpRegistry {
-  final case class Spec(
-      name: String,
-      category: String, // formatter | mapper | filter | deduplicator
-      usageTags: Seq[String],
-      build: OpParams => Op,
-  )
+  final case class Spec(name: String, usageTags: Seq[String], build: OpParams => Op) {
+    /** The category of the OP this spec builds, read off its default build. */
+    lazy val category: OpCategory = build(OpParams(Map.empty)).category
+  }
 
   import Mappers._, Filters._, Deduplicators._
 
-  private def spec(name: String, category: String, tags: Seq[String])(b: OpParams => Op) =
-    name -> Spec(name, category, tags, b)
+  private def spec(name: String, tags: Seq[String])(b: OpParams => Op) = name -> Spec(name, tags, b)
 
   val specs: Map[String, Spec] = Map(
     // ---- formatters ----
-    spec("jsonl_formatter", "formatter", Seq("general"))(p =>
+    spec("jsonl_formatter", Seq("general"))(p =>
       Formatters.JsonlFormatter(p.string("path", ""), p.string("text_key", "text"), p.strings("meta_keys", Nil))),
-    spec("csv_formatter", "formatter", Seq("general", "financial"))(p =>
+    spec("csv_formatter", Seq("general", "financial"))(p =>
       Formatters.CsvFormatter(p.string("path", ""), p.string("text_col", "text"), p.strings("meta_cols", Nil))),
-    spec("text_formatter", "formatter", Seq("general"))(p =>
+    spec("text_formatter", Seq("general"))(p =>
       Formatters.TextFormatter(p.string("path", ""), p.string("whole_file", "true").toBoolean)),
-    spec("parquet_formatter", "formatter", Seq("general"))(p => Formatters.ParquetFormatter(p.string("path", ""))),
+    spec("parquet_formatter", Seq("general"))(p => Formatters.ParquetFormatter(p.string("path", ""))),
     // ---- mappers ----
-    spec("remove_words_with_incorrect_substrings_mapper", "mapper", Seq("web"))(p =>
+    spec("remove_words_with_incorrect_substrings_mapper", Seq("web"))(p =>
       RemoveWordsWithIncorrectSubstringsMapper(p.strings("substrings", Seq("http", "www", ".com", "href", "//")))),
-    spec("sentence_split_mapper", "mapper", Seq("general"))(_ => SentenceSplitMapper()),
-    spec("whitespace_normalization_mapper", "mapper", Seq("general"))(_ => WhitespaceNormalizationMapper()),
-    spec("fix_unicode_mapper", "mapper", Seq("general"))(_ => FixUnicodeMapper()),
-    spec("remove_emails_mapper", "mapper", Seq("general", "pii"))(p => RemoveEmailsMapper(p.string("replacement", ""))),
-    spec("remove_ip_addresses_mapper", "mapper", Seq("general", "pii"))(p => RemoveIpAddressesMapper(p.string("replacement", ""))),
-    spec("remove_links_mapper", "mapper", Seq("general", "web"))(p => RemoveLinksMapper(p.string("replacement", ""))),
-    spec("remove_html_tags_mapper", "mapper", Seq("web"))(_ => RemoveHtmlTagsMapper()),
-    spec("punctuation_normalization_mapper", "mapper", Seq("general", "zh"))(_ => PunctuationNormalizationMapper()),
-    spec("lowercase_mapper", "mapper", Seq("general"))(_ => LowercaseMapper()),
-    spec("remove_specific_chars_mapper", "mapper", Seq("general"))(p => RemoveSpecificCharsMapper(p.string("chars", "◆●■►▼▲▴∆▻▷❖♡□"))),
-    spec("remove_long_words_mapper", "mapper", Seq("general", "web"))(p => RemoveLongWordsMapper(p.int("max_len", 40))),
-    spec("remove_header_mapper", "mapper", Seq("latex"))(p => RemoveHeaderMapper(p.strings("patterns", RemoveHeaderMapper().patterns))),
-    spec("remove_comments_mapper", "mapper", Seq("latex", "code"))(p => RemoveCommentsMapper(p.strings("prefixes", Seq("%", "//")))),
-    spec("remove_bibliography_mapper", "mapper", Seq("latex"))(_ => RemoveBibliographyMapper()),
-    spec("remove_table_text_mapper", "mapper", Seq("latex", "financial"))(p => RemoveTableTextMapper(p.int("min_pipes", 2))),
-    spec("clean_copyright_mapper", "mapper", Seq("code"))(_ => CleanCopyrightMapper()),
-    spec("remove_repeated_lines_mapper", "mapper", Seq("web", "dialog"))(_ => RemoveRepeatedLinesMapper()),
+    spec("sentence_split_mapper", Seq("general"))(_ => SentenceSplitMapper()),
+    spec("whitespace_normalization_mapper", Seq("general"))(_ => WhitespaceNormalizationMapper()),
+    spec("fix_unicode_mapper", Seq("general"))(_ => FixUnicodeMapper()),
+    spec("remove_emails_mapper", Seq("general", "pii"))(p => RemoveEmailsMapper(p.string("replacement", ""))),
+    spec("remove_ip_addresses_mapper", Seq("general", "pii"))(p => RemoveIpAddressesMapper(p.string("replacement", ""))),
+    spec("remove_links_mapper", Seq("general", "web"))(p => RemoveLinksMapper(p.string("replacement", ""))),
+    spec("remove_html_tags_mapper", Seq("web"))(_ => RemoveHtmlTagsMapper()),
+    spec("punctuation_normalization_mapper", Seq("general", "zh"))(_ => PunctuationNormalizationMapper()),
+    spec("lowercase_mapper", Seq("general"))(_ => LowercaseMapper()),
+    spec("remove_specific_chars_mapper", Seq("general"))(p => RemoveSpecificCharsMapper(p.string("chars", "◆●■►▼▲▴∆▻▷❖♡□"))),
+    spec("remove_long_words_mapper", Seq("general", "web"))(p => RemoveLongWordsMapper(p.int("max_len", 40))),
+    spec("remove_header_mapper", Seq("latex"))(p => RemoveHeaderMapper(p.strings("patterns", RemoveHeaderMapper().patterns))),
+    spec("remove_comments_mapper", Seq("latex", "code"))(p => RemoveCommentsMapper(p.strings("prefixes", Seq("%", "//")))),
+    spec("remove_bibliography_mapper", Seq("latex"))(_ => RemoveBibliographyMapper()),
+    spec("remove_table_text_mapper", Seq("latex", "financial"))(p => RemoveTableTextMapper(p.int("min_pipes", 2))),
+    spec("clean_copyright_mapper", Seq("code"))(_ => CleanCopyrightMapper()),
+    spec("remove_repeated_lines_mapper", Seq("web", "dialog"))(_ => RemoveRepeatedLinesMapper()),
     // ---- filters ----
-    spec("text_length_filter", "filter", Seq("general"))(p => TextLengthFilter(p.int("min_len", 10), p.int("max_len", 1000000))),
-    spec("word_count_filter", "filter", Seq("general"))(p => WordCountFilter(p.int("min_words", 5), p.int("max_words", 1000000))),
-    spec("avg_word_length_filter", "filter", Seq("general"))(p => AvgWordLengthFilter(p.double("min", 2.0), p.double("max", 12.0))),
-    spec("lines_count_filter", "filter", Seq("general"))(p => LinesCountFilter(p.int("min", 1), p.int("max", 100000))),
-    spec("max_line_length_filter", "filter", Seq("code", "web"))(p => MaxLineLengthFilter(p.int("min", 0), p.int("max", 5000))),
-    spec("avg_line_length_filter", "filter", Seq("code", "web"))(p => AvgLineLengthFilter(p.double("min", 5.0), p.double("max", 2000.0))),
-    spec("alphanumeric_ratio_filter", "filter", Seq("general"))(p => AlphanumericRatioFilter(p.double("min", 0.6))),
-    spec("whitespace_ratio_filter", "filter", Seq("general"))(p => WhitespaceRatioFilter(p.double("max", 0.5))),
-    spec("special_char_ratio_filter", "filter", Seq("general"))(p => SpecialCharRatioFilter(p.double("max", 0.25))),
-    spec("char_repetition_filter", "filter", Seq("general"))(p => CharRepetitionFilter(p.int("n", 10), p.double("max", 0.2))),
-    spec("word_repetition_filter", "filter", Seq("general"))(p => WordRepetitionFilter(p.int("n", 5), p.double("max", 0.3))),
-    spec("stopword_ratio_filter", "filter", Seq("en"))(p => StopwordRatioFilter(p.double("min", 0.1))),
-    spec("flagged_words_filter", "filter", Seq("general", "toxicity"))(p => FlaggedWordsFilter(p.double("max", 0.01))),
-    spec("language_score_filter", "filter", Seq("en", "zh"))(p => LanguageScoreFilter(p.string("lang", "en"), p.double("min", 0.5))),
-    spec("perplexity_filter", "filter", Seq("general", "model"))(p => PerplexityFilter(p.double("max_ppl", 1500.0))),
-    spec("word_entropy_filter", "filter", Seq("general"))(p => WordEntropyFilter(p.double("min", 1.5), p.double("max", 12.0))),
-    spec("duplicate_line_ratio_filter", "filter", Seq("web"))(p => DuplicateLineRatioFilter(p.double("max", 0.3))),
-    spec("duplicate_paragraph_ratio_filter", "filter", Seq("web"))(p => DuplicateParagraphRatioFilter(p.double("max", 0.3))),
-    spec("numeric_ratio_filter", "filter", Seq("financial"))(p => NumericRatioFilter(p.double("max", 0.3))),
-    spec("token_count_filter", "filter", Seq("general", "code"))(p => TokenCountFilter(p.int("min", 5), p.int("max", 1000000), p.string("tokenizer", "standard"))),
-    spec("symbol_to_word_ratio_filter", "filter", Seq("web"))(p => SymbolToWordRatioFilter(p.double("max", 0.4))),
-    spec("ellipsis_line_ratio_filter", "filter", Seq("web"))(p => EllipsisLineRatioFilter(p.double("max", 0.3))),
-    spec("bullet_line_ratio_filter", "filter", Seq("web"))(p => BulletLineRatioFilter(p.double("max", 0.9))),
-    spec("meta_field_filter", "filter", Seq("general"))(p => MetaFieldFilter(p.string("key", "language"), p.strings("allowed", Seq("EN")))),
-    spec("suffix_filter", "filter", Seq("code"))(p => SuffixFilter(p.strings("suffixes", Seq(".py", ".scala", ".cpp", ".java")))),
-    spec("stars_count_filter", "filter", Seq("code"))(p => StarsCountFilter(p.long("min_stars", 10L))),
+    spec("text_length_filter", Seq("general"))(p => TextLengthFilter(p.int("min_len", 10), p.int("max_len", 1000000))),
+    spec("word_count_filter", Seq("general"))(p => WordCountFilter(p.int("min_words", 5), p.int("max_words", 1000000))),
+    spec("avg_word_length_filter", Seq("general"))(p => AvgWordLengthFilter(p.double("min", 2.0), p.double("max", 12.0))),
+    spec("lines_count_filter", Seq("general"))(p => LinesCountFilter(p.int("min", 1), p.int("max", 100000))),
+    spec("max_line_length_filter", Seq("code", "web"))(p => MaxLineLengthFilter(p.int("min", 0), p.int("max", 5000))),
+    spec("avg_line_length_filter", Seq("code", "web"))(p => AvgLineLengthFilter(p.double("min", 5.0), p.double("max", 2000.0))),
+    spec("alphanumeric_ratio_filter", Seq("general"))(p => AlphanumericRatioFilter(p.double("min", 0.6))),
+    spec("whitespace_ratio_filter", Seq("general"))(p => WhitespaceRatioFilter(p.double("max", 0.5))),
+    spec("special_char_ratio_filter", Seq("general"))(p => SpecialCharRatioFilter(p.double("max", 0.25))),
+    spec("char_repetition_filter", Seq("general"))(p => CharRepetitionFilter(p.int("n", 10), p.double("max", 0.2))),
+    spec("word_repetition_filter", Seq("general"))(p => WordRepetitionFilter(p.int("n", 5), p.double("max", 0.3))),
+    spec("stopword_ratio_filter", Seq("en"))(p => StopwordRatioFilter(p.double("min", 0.1))),
+    spec("flagged_words_filter", Seq("general", "toxicity"))(p => FlaggedWordsFilter(p.double("max", 0.01))),
+    spec("language_score_filter", Seq("en", "zh"))(p => LanguageScoreFilter(p.string("lang", "en"), p.double("min", 0.5))),
+    spec("perplexity_filter", Seq("general", "model"))(p => PerplexityFilter(p.double("max_ppl", 1500.0))),
+    spec("word_entropy_filter", Seq("general"))(p => WordEntropyFilter(p.double("min", 1.5), p.double("max", 12.0))),
+    spec("duplicate_line_ratio_filter", Seq("web"))(p => DuplicateLineRatioFilter(p.double("max", 0.3))),
+    spec("duplicate_paragraph_ratio_filter", Seq("web"))(p => DuplicateParagraphRatioFilter(p.double("max", 0.3))),
+    spec("numeric_ratio_filter", Seq("financial"))(p => NumericRatioFilter(p.double("max", 0.3))),
+    spec("token_count_filter", Seq("general", "code"))(p => TokenCountFilter(p.int("min", 5), p.int("max", 1000000), p.string("tokenizer", "standard"))),
+    spec("symbol_to_word_ratio_filter", Seq("web"))(p => SymbolToWordRatioFilter(p.double("max", 0.4))),
+    spec("ellipsis_line_ratio_filter", Seq("web"))(p => EllipsisLineRatioFilter(p.double("max", 0.3))),
+    spec("bullet_line_ratio_filter", Seq("web"))(p => BulletLineRatioFilter(p.double("max", 0.9))),
+    spec("meta_field_filter", Seq("general"))(p => MetaFieldFilter(p.string("key", "language"), p.strings("allowed", Seq("EN")))),
+    spec("suffix_filter", Seq("code"))(p => SuffixFilter(p.strings("suffixes", Seq(".py", ".scala", ".cpp", ".java")))),
+    spec("stars_count_filter", Seq("code"))(p => StarsCountFilter(p.long("min_stars", 10L))),
     // ---- deduplicators ----
-    spec("exact_doc_deduplicator", "deduplicator", Seq("general"))(_ => ExactDocDeduplicator()),
-    spec("paragraph_deduplicator", "deduplicator", Seq("web"))(_ => ParagraphDeduplicator()),
-    spec("minhash_deduplicator", "deduplicator", Seq("general"))(p =>
+    spec("exact_doc_deduplicator", Seq("general"))(_ => ExactDocDeduplicator()),
+    spec("paragraph_deduplicator", Seq("web"))(_ => ParagraphDeduplicator()),
+    spec("minhash_deduplicator", Seq("general"))(p =>
       MinHashDeduplicator(p.int("num_perm", 128), p.int("bands", 16), p.int("shingle", 3), p.double("jaccard", 0.7), p.int("seed", 42))),
-    spec("simhash_deduplicator", "deduplicator", Seq("general"))(p => SimHashDeduplicator(p.int("hamming_max", 3))),
+    spec("simhash_deduplicator", Seq("general"))(p => SimHashDeduplicator(p.int("hamming_max", 3))),
   )
 
   /** Build OP `name`; an unknown OP or a key the OP never reads (a typo
@@ -191,8 +188,10 @@ final case class Recipe(name: String, opSpecs: Seq[(String, Map[String, Any])]) 
   def add(opName: String, params: Map[String, Any] = Map.empty): Recipe =
     copy(opSpecs = opSpecs :+ (opName -> params)).checked
 
-  /** Build every OP once, so a bad OP or parameter fails now, not at the first run. */
-  private def checked: Recipe = { ops; this }
+  /** Build the pipeline once, so a bad OP, parameter or OP list fails now,
+    * not at the first run.
+    */
+  private def checked: Recipe = { pipeline(); this }
 }
 
 object Recipe {

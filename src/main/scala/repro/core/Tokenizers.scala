@@ -79,6 +79,17 @@ object Tokenizers {
     out.toArray
   }
 
+  /** The tokenizer a recipe or classifier config names: `standard`
+    * ([[words]]), `cjk` ([[cjkChars]]) or `code` ([[codeTokens]]); any other
+    * name is an error.
+    */
+  def byName(name: String): String => Array[String] = name match {
+    case "standard" => words
+    case "cjk"      => cjkChars
+    case "code"     => codeTokens
+    case other      => throw new IllegalArgumentException(s"unknown tokenizer '$other'; known: standard, cjk, code")
+  }
+
   /** n-grams over a token sequence, joined by a separator (shingles for
     * MinHash, trigrams for the LM).
     */

@@ -34,14 +34,8 @@ final class Tracer(val maxSamples: Int = 5) extends Serializable {
       .where(col("rank") <= maxSamples).drop("rank").withColumn("count", lit(null).cast("long"))
     val (n, picked) = counts.union(samples).collect().partition(!_.isNullAt(4))
     ops.zipWithIndex.foreach { case (op, i) =>
-      val kind = op match {
-        case _: Mapper => "mapper"
-        case _: Filter | _: MetaFilter => "filter"
-        case _: Deduplicator => "deduplicator"
-        case _ => "other"
-      }
       val mine = picked.filter(_.getInt(0) == i).sortBy(_.getLong(1))
-      buf += Tracer.Trace(op.name, kind, n.find(_.getInt(0) == i).fold(0L)(_.getLong(4)),
+      buf += Tracer.Trace(op.name, op.category, n.find(_.getInt(0) == i).fold(0L)(_.getLong(4)),
         mine.map(r => (r.getLong(1), r.getString(2), Option(r.getString(3)))).toSeq)
     }
   }
@@ -49,7 +43,7 @@ final class Tracer(val maxSamples: Int = 5) extends Serializable {
   /** Human-readable audit report, one block per OP. */
   def report: String =
     traces.map { t =>
-      val head = s"[${t.kind}] ${t.op}: ${t.removedOrChanged} samples ${if (t.kind == "mapper") "edited" else "removed"}"
+      val head = s"[${t.kind}] ${t.op}: ${t.removedOrChanged} samples ${if (t.kind == OpCategory.Mapper) "edited" else "removed"}"
       val body = t.samples.map {
         case (id, pre, Some(post)) => s"  #$id: ${pre.take(60)} => ${post.take(60)}"
         case (id, pre, None)       => s"  #$id: ${pre.take(80)}"
@@ -64,7 +58,7 @@ object Tracer {
     */
   final case class Trace(
       op: String,
-      kind: String, // "mapper" | "filter" | "deduplicator" | "other"
+      kind: OpCategory,
       removedOrChanged: Long,
       samples: Seq[(Long, String, Option[String])],
   )

@@ -20,7 +20,8 @@ import repro.core._
   *
   * Supported OPs: Mappers, Filters, MetaFilters row-locally; exact-hash
   * deduplication via a global merge after the parallel phase (the shuffle
-  * analog). That is the OP mix of the paper's scalability recipes.
+  * analog); any other Deduplicator is rejected. That is the OP mix of the
+  * paper's scalability recipes.
   */
 object DistExecutor {
 
@@ -55,15 +56,24 @@ object DistExecutor {
   }
 
   /** Global exact-dedup resolution, keep-first by id (the shuffle analog);
-    * the identity if `ops` holds no Deduplicator.
+    * the identity if `ops` holds no Deduplicator. Exact dedup is the only
+    * Deduplicator simulated: any other one is an error, not a silent
+    * exact dedup.
     */
   def dedupGlobal(docs: Seq[Doc], ops: Seq[Op]): Seq[Doc] =
-    if (!ops.exists(_.isInstanceOf[Deduplicator])) docs
+    if (!exactDedup(ops)) docs
     else docs.sortBy(_.id).foldLeft((Set.empty[Long], Vector.empty[Doc])) {
       case ((seen, acc), d) =>
         val h = Hashing.contentHash(d.text)
         if (seen(h)) (seen, acc) else (seen + h, acc :+ d)
     }._2
+
+  /** Whether `ops` holds a Deduplicator; each one must be exact dedup. */
+  private def exactDedup(ops: Seq[Op]): Boolean =
+    ops.collect { case d: Deduplicator =>
+      require(d.isInstanceOf[Deduplicators.ExactDocDeduplicator],
+        s"the dist executors simulate only exact_doc_deduplicator, not '${d.name}'")
+    }.nonEmpty
 
   private def shard[T](xs: Vector[T], n: Int): Seq[Vector[T]] = {
     val size = math.max(1, (xs.size + n - 1) / n)
@@ -84,6 +94,7 @@ object DistExecutor {
     * the coordinator), then process the shards on the `nodes` workers.
     */
   private def run(lines: Vector[String], ops: Seq[Op], nodes: Int, parallelLoad: Boolean): RunResult = {
+    exactDedup(ops) // reject an unsupported Deduplicator before any work
     val pool = Executors.newFixedThreadPool(nodes)
     def onPool[A, B](shards: Seq[A])(f: A => B): Seq[B] =
       pool.invokeAll(shards.map(s => new Callable[B] { def call(): B = f(s) }).asJava).asScala.map(_.get()).toSeq

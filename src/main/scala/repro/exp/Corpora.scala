@@ -59,15 +59,12 @@ object Corpora {
 
   /** The full Data-Juicer instruction-data refinement flow: recipe (dedup +
     * filters) → quality-classifier keep → diversity-aware sampling down to
-    * ≈`targetTokens` (paper Sec. 8.1: "data merging and cleaning", "enhanced
+    * `samples` docs (paper Sec. 8.1: "data merging and cleaning", "enhanced
     * sampling strategy").
     */
-  def refineInstructions(pool: DataFrame, qc: QualityClassifier.Model, targetTokens: Long,
-                         seed: Long = 13L): DataFrame = {
+  def refineInstructions(pool: DataFrame, qc: QualityClassifier.Model, samples: Int): DataFrame = {
     val cleaned = Recipes.djPosttune.pipeline(fuse = true, reorder = true).run(pool)
     val kept    = QualityClassifier.keepLabel(QualityClassifier.score(qc, cleaned))
-    val perDoc  = 70.0
-    val n       = math.max(4, (targetTokens / perDoc).toInt)
-    Sampler.diversitySample(kept, "doc_score", n)
+    Sampler.diversitySample(kept, "doc_score", samples)
   }
 }

@@ -63,7 +63,8 @@ object Table2Experiment {
 
     val qc = Corpora.instructionQualityModel(spark)
     val iftPool    = Corpora.instructionPool(spark, units(15), quality = 0.8, dupEpochs = 4, seed = 205L)
-    val refinedIft = Corpora.refineInstructions(iftPool, qc, units(4.7))
+    // ≈4.7 units of 70-word instruction pairs
+    val refinedIft = Corpora.refineInstructions(iftPool, qc, math.max(4, (units(4.7) / 70.0).toInt))
 
     // --- models ------------------------------------------------------
     def fit(df: DataFrame): NGramLM.Model = NGramLM.train(df)

@@ -5,7 +5,6 @@ import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.corpus.Components
 import repro.lm.{Judge, NGramLM}
-import repro.quality.QualityClassifier
 
 /** Table 3: pairwise judge comparison of LLaMA-7B post-tuned on
   *  - Alpaca (the original 52k subset),
@@ -47,10 +46,7 @@ object Table3Experiment {
 
     // --- Data-Juicer refinement vs random draw, equal sample counts ----
     val qc = Corpora.instructionQualityModel(spark, seed = 78L)
-    val cleaned = Recipes.djPosttune.pipeline(fuse = true, reorder = true).run(pool)
-    val scored  = QualityClassifier.score(qc, cleaned)
-    val kept    = QualityClassifier.keepLabel(scored)
-    val djSet     = Sampler.diversitySample(kept, "doc_score", sftSamples)
+    val djSet     = Corpora.refineInstructions(pool, qc, sftSamples)
     val randomSet = Sampler.randomSample(pool, sftSamples, 99L)
 
     // --- base model + continued training (post-tuning, 3 epochs) -------

@@ -74,8 +74,9 @@ object Judge {
   */
 object Leaderboard {
   /** @param results (model, task, score) rows
-    * @return (model, avg_score, avg_rank, rank) ordered by rank — average of
-    *         per-task min-max-normalized scores, plus ranking averaging
+    * @return (model, avg_score, avg_norm, avg_rank, rank) ordered by rank
+    *         1..n — by average of per-task min-max-normalized scores, ties
+    *         by model name — plus ranking averaging
     */
   def rank(spark: SparkSession, results: Seq[(String, String, Double)]): DataFrame = {
     import spark.implicits._
@@ -93,7 +94,7 @@ object Leaderboard {
       avg("score") as "avg_score",
       avg("norm") as "avg_norm",
       avg("task_rank") as "avg_rank",
-    ).orderBy(desc("avg_norm"))
-      .withColumn("rank", monotonically_increasing_id() + 1)
+    ).withColumn("rank", row_number().over(Window.orderBy(desc("avg_norm"), col("model"))))
+      .orderBy("rank")
   }
 }

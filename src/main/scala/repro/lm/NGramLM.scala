@@ -34,11 +34,8 @@ object NGramLM {
 
   private val toTokens = udf((t: String) => Tokenizers.words(if (t == null) "" else t))
 
-  private def gramUdf(n: Int) = udf { (t: String) =>
-    val w = Tokenizers.words(if (t == null) "" else t)
-    if (w.length < n) Array.empty[String]
-    else Array.tabulate(w.length - n + 1)(i => w.slice(i, i + n).mkString(Sep))
-  }
+  private def gramUdf(n: Int) =
+    udf((t: String) => Tokenizers.ngrams(Tokenizers.words(if (t == null) "" else t), n, Sep))
 
   /** Total token count of a unified dataset. */
   def countTokens(df: DataFrame): Long = {

@@ -25,7 +25,10 @@ object QualityClassifier {
       numFeatures: Int = 1 << 18,
       maxIter: Int = 60,
       regParam: Double = 1e-4,
-  )
+  ) {
+    /** The named tokenizer ([[Tokenizers.byName]]); an unknown name fails here. */
+    val tokenize: String => Array[String] = Tokenizers.byName(tokenizer)
+  }
 
   final case class Model(lr: LogisticRegressionModel, cfg: Config)
 
@@ -33,19 +36,14 @@ object QualityClassifier {
     * fluent-but-junk text from prose; bigrams capture transition style (the
     * GPT-3 scorer's featurizer likewise hashes n-gram features).
     */
-  private def tokenizeUdf(kind: String) = udf { (t: String) =>
-    val s = if (t == null) "" else t
-    val toks = kind match {
-      case "cjk"  => Tokenizers.cjkChars(s)
-      case "code" => Tokenizers.codeTokens(s)
-      case _      => Tokenizers.words(s)
-    }
+  private def tokenizeUdf(tokenize: String => Array[String]) = udf { (t: String) =>
+    val toks = tokenize(if (t == null) "" else t)
     toks ++ Tokenizers.ngrams(toks, 2, "§")
   }
 
   private def featurize(df: DataFrame, cfg: Config): DataFrame = {
     val tf = new HashingTF().setInputCol("__tokens").setOutputCol("features").setNumFeatures(cfg.numFeatures)
-    tf.transform(df.withColumn("__tokens", tokenizeUdf(cfg.tokenizer)(col(Schema.Text))))
+    tf.transform(df.withColumn("__tokens", tokenizeUdf(cfg.tokenize)(col(Schema.Text))))
   }
 
   /** Train on positive (high-quality) and negative (low-quality) corpora. */

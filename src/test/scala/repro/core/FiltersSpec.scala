@@ -135,6 +135,13 @@ class FiltersSpec extends SparkSpec with TestData {
     assert(statsOf(std, "a+b c")("num_tokens") == 3.0)
     val code = TokenCountFilter(min = 1, max = 100, tokenizer = "code")
     assert(statsOf(code, "a+b c")("num_tokens") == 4.0)
+    val cjk = TokenCountFilter(min = 1, max = 100, tokenizer = "cjk")
+    assert(statsOf(cjk, "中文 ab")("num_tokens") == 4.0)
+  }
+
+  test("token count filter rejects an unknown tokenizer") {
+    val e = intercept[IllegalArgumentException](TokenCountFilter(tokenizer = "sentencepiece"))
+    assert(e.getMessage.contains("sentencepiece"))
   }
 
   test("symbol to word ratio filter") {

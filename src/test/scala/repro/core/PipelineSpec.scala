@@ -57,4 +57,10 @@ class PipelineSpec extends SparkSpec with TestData {
       assert(out(0).getMap[String, Double](1)("text_len") == plain.length)
     }
   }
+
+  test("a formatter in the op list is rejected, not run as a silent unification") {
+    val e = intercept[IllegalArgumentException](
+      Pipeline(Seq(Filters.TextLengthFilter(), Formatters.JsonlFormatter("ignored.jsonl"))))
+    assert(e.getMessage.contains("jsonl_formatter"))
+  }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.Prop.propBoolean
 import repro.{SparkSpec, TestData}
+import repro.corpus.TextGen
 
 /** Property tests over row-level OP semantics (raw ScalaCheck; the
   * scalatest/scalacheck bridge artifact is not available offline).
@@ -48,6 +49,19 @@ class PropertySpec extends SparkSpec with TestData {
         val stats = f.computeStatsRow(new TextContext(t))
         f.statsKeys.toSet.subsetOf(stats.keySet) && stats.values.forall(v => !v.isNaN)
       }
+    })
+  }
+
+  test("every registry Filter writes exactly its stats keys on generated text") {
+    val filters = OpRegistry.specs.keys.toSeq.sorted.map(OpRegistry.build(_, Map.empty)).collect { case f: Filter => f }
+    val kinds = Seq("clean", "boilerplate", "gibberish", "flagged", "html", "repeat", "short", "code", "codeNoise", "cjk", "cjkNoise")
+    val docs = for {
+      kind <- Gen.oneOf(kinds)
+      seed <- Gen.choose(0L, 1L << 40)
+      words <- Gen.choose(0, 120)
+    } yield TextGen.genDoc(kind, seed, words, TextGen.rng(seed))
+    check("stats-keys", Prop.forAll(docs) { t =>
+      filters.forall(f => f.computeStatsRow(new TextContext(t)).keySet == f.statsKeys.toSet)
     })
   }
 

@@ -26,7 +26,8 @@ class RecipeSpec extends SparkSpec with TestData {
 
   test("registry categories cover the four OP classes") {
     val cats = OpRegistry.specs.values.map(_.category).toSet
-    assert(Set("mapper", "filter", "deduplicator").subsetOf(cats))
+    assert(cats == Set[OpCategory](OpCategory.Formatter, OpCategory.Mapper, OpCategory.Filter, OpCategory.Deduplicator))
+    assert(cats.map(_.toString) == Set("formatter", "mapper", "filter", "deduplicator"))
   }
 
   test("usage tags include the paper's scenario labels") {
@@ -125,5 +126,16 @@ class RecipeSpec extends SparkSpec with TestData {
     // the paper's "5 of these OPs being fuse-able": 5 Words-context filters
     val fusible = f14.collect { case f: Filter if f.contexts.contains(ContextKey.Words) => f }
     assert(fusible.size >= 4)
+  }
+
+  test("a formatter in a recipe's op list is an error naming it") {
+    val e = intercept[IllegalArgumentException](Recipe.fromYaml("name: x\nops:\n  - jsonl_formatter: {path: in.jsonl}\n"))
+    assert(e.getMessage.contains("jsonl_formatter"))
+  }
+
+  test("an unknown tokenizer in a recipe is an error") {
+    val bad = "name: x\nops:\n  - token_count_filter: {tokenizer: bogus}\n"
+    val e = intercept[IllegalArgumentException](Recipe.fromYaml(bad))
+    assert(e.getMessage.contains("bogus"))
   }
 }

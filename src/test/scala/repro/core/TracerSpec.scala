@@ -48,7 +48,7 @@ class TracerSpec extends SparkSpec with TestData {
     val df = docsDf("long enough to survive the filter", "nope")
     Pipeline(Seq(Filters.TextLengthFilter(minLen = 10)), tracer = Some(tracer)).run(df)
     val t = tracer.traces.head
-    assert(t.kind == "filter" && t.removedOrChanged == 1)
+    assert(t.kind == OpCategory.Filter && t.removedOrChanged == 1)
     assert(t.samples.map(_._2) == Seq("nope"))
   }
 
@@ -57,7 +57,7 @@ class TracerSpec extends SparkSpec with TestData {
     val df = docsDf("UPPER case", "already lower")
     Pipeline(Seq(Mappers.LowercaseMapper()), tracer = Some(tracer)).run(df)
     val t = tracer.traces.head
-    assert(t.kind == "mapper" && t.removedOrChanged == 1)
+    assert(t.kind == OpCategory.Mapper && t.removedOrChanged == 1)
     assert(t.samples.head._2 == "UPPER case" && t.samples.head._3.contains("upper case"))
   }
 
@@ -66,7 +66,7 @@ class TracerSpec extends SparkSpec with TestData {
     val df = docsDf("dup text", "dup text", "unique")
     Pipeline(Seq(Deduplicators.ExactDocDeduplicator()), tracer = Some(tracer)).run(df)
     val t = tracer.traces.head
-    assert(t.kind == "deduplicator" && t.removedOrChanged == 1)
+    assert(t.kind == OpCategory.Deduplicator && t.removedOrChanged == 1)
     assert(t.samples.map(_._2) == Seq("dup text"))
   }
 

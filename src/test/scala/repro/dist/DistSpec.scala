@@ -54,4 +54,17 @@ class DistSpec extends SparkSpec with TestData {
       Doc(0L, "keep", Map("language" -> "EN")), Doc(1L, "drop", Map("language" -> "ZH"))))
     assert(RayLikeExecutor.run(lines, mops, 2).output.map(_.id) == Seq(0L))
   }
+
+  test("a deduplicator other than exact dedup is rejected, not run as exact dedup") {
+    val near: Seq[Op] = Seq(Mappers.LowercaseMapper(), Deduplicators.MinHashDeduplicator())
+    val lines = serialize(docs)
+    Seq[() => Any](
+      () => RayLikeExecutor.run(lines, near, 2),
+      () => BeamLikeExecutor.run(lines, near, 2),
+      () => dedupGlobal(processRows(docs, near), near),
+    ).foreach { run =>
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("minhash_deduplicator"))
+    }
+  }
 }

@@ -46,4 +46,18 @@ class JudgeSpec extends SparkSpec with TestData {
     assert(lb(0).getAs[Double]("avg_norm") == 1.0)
     assert(lb(0).getAs[Double]("avg_rank") == 1.0)
   }
+
+  test("leaderboard ranks are 1..n whatever the shuffle partitioning") {
+    val conf = spark.conf
+    val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    val saved = keys.map(k => k -> conf.getOption(k))
+    conf.set("spark.sql.shuffle.partitions", "8")
+    conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
+    try {
+      val results = (1 to 6).flatMap(m => Seq((s"model$m", "t1", m.toDouble), (s"model$m", "t2", 2.0 * m)))
+      val lb = Leaderboard.rank(spark, results).collect()
+      assert(lb.map(_.getAs[Number]("rank").longValue).toSeq == (1L to 6L))
+      assert(lb.map(_.getAs[String]("model")).toSeq == (6 to 1 by -1).map(m => s"model$m"))
+    } finally saved.foreach { case (k, v) => v.fold(conf.unset(k))(conf.set(k, _)) }
+  }
 }

@@ -13,6 +13,11 @@ class QualityClassifierSpec extends SparkSpec with TestData {
   private lazy val model = QualityClassifier.train(pos, neg,
     QualityClassifier.Config(numFeatures = 1 << 14, maxIter = 30))
 
+  test("an unknown tokenizer name is rejected") {
+    val e = intercept[IllegalArgumentException](QualityClassifier.Config(tokenizer = "bpe"))
+    assert(e.getMessage.contains("bpe"))
+  }
+
   test("classifier separates clean text from junk with high F1") {
     val posTest = TextGen.docs(spark, Seq("clean" -> 1.0), 80, seed = 21L, docWords = 150)
     val negTest = TextGen.docs(spark,
