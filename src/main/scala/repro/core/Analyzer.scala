@@ -9,6 +9,8 @@ import org.apache.spark.sql.functions._
   * because Filters decouple `computeStatsRow` from `keepRow` — and summarizes
   * each dimension with count / mean / std / min / max / quantile points.
   * The summary DataFrame is the "data probe" driving recipe refinement.
+  * Its dimensions must never reject, so it folds them over one context
+  * itself instead of running a [[RowStage]] pass.
   */
 object Analyzer {
 
@@ -30,19 +32,13 @@ object Analyzer {
   )
 
   /** Compute the stats of every dimension for every sample (no filtering),
-    * all dimensions over one shared [[TextContext]] per sample. A sample that
-    * already carries every dimension's keys is left as is, so an earlier
-    * probe is not paid twice; otherwise every dimension is recomputed.
+    * all dimensions over one shared [[TextContext]] per sample. Each
+    * dimension overwrites its keys; keys no dimension writes are kept.
     */
   def computeStats(df: DataFrame, dims: Seq[Filter] = defaultDims): DataFrame = {
-    val keys = dims.flatMap(_.statsKeys)
     val fill = udf { (t: String, s: Map[String, Double]) =>
-      val prev = if (s == null) Map.empty[String, Double] else s
-      if (keys.forall(prev.contains)) prev
-      else {
-        val ctx = new TextContext(if (t == null) "" else t)
-        dims.foldLeft(prev)(_ ++ _.computeStatsRow(ctx))
-      }
+      val ctx = new TextContext(if (t == null) "" else t)
+      dims.foldLeft(if (s == null) Map.empty[String, Double] else s)(_ ++ _.computeStatsRow(ctx))
     }
     Schema.ensure(df).withColumn(Schema.Stats, fill(col(Schema.Text), col(Schema.Stats)))
   }

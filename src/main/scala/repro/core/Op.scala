@@ -64,8 +64,10 @@ trait Mapper extends RowOp {
 /** Conditional sample removal (paper: "Filters", Listing 1).
   *
   * `computeStatsRow` fills the sample's `stats` entries and `keepRow`
-  * decides on them. The split lets the Analyzer run the stats without
-  * filtering ([[Analyzer.computeStats]]).
+  * decides on them. [[RowStage]] computes them for every sample a Filter
+  * sees, even one that already holds its keys, so a Filter decides on its
+  * own values. The split lets the Analyzer run the stats without filtering
+  * ([[Analyzer.computeStats]]).
   */
 trait Filter extends RowOp {
   final def category: OpCategory = OpCategory.Filter

@@ -4,16 +4,20 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, lit}
 
 /** The end-to-end data processing executor (paper Fig. 1, yellow box): takes
-  * a unified dataset through an OP chain, optionally applying OP fusion
-  * (`fuse`: the Filters of each row pass share one [[TextContext]] per
-  * sample, see [[RowStage]]), Filter reordering (`reorder`, [[OpFusion]]),
-  * sample-level tracing ([[Tracer]]), and per-OP cache/checkpoint
-  * persistence ([[CacheManager]]) with hash-chain resume. `fuse` changes how
-  * rows are computed, not what is planned, so cache keys do not depend on it.
+  * a unified dataset through an OP chain, with OP fusion (`fuse`, paper
+  * Sec. 7), Filter reordering (`reorder`, [[OpFusion]]), sample-level
+  * tracing ([[Tracer]]), and per-OP cache/checkpoint persistence
+  * ([[CacheManager]]) with hash-chain resume.
+  *
+  * `fuse` only sets pass boundaries: on, each maximal run of planned row OPs
+  * between Deduplicators is one [[RowStage]] pass, whose Filters share one
+  * [[TextContext]] per sample; off, each planned OP is its own pass, as in
+  * unfused Data-Juicer. It changes how rows are computed, not what is
+  * planned or output, so cache keys do not depend on it.
   */
 final case class Pipeline(
     ops: Seq[Op],
-    fuse: Boolean = false,
+    fuse: Boolean = true,
     reorder: Boolean = false,
     tracer: Option[Tracer] = None,
     cache: Option[CacheManager] = None,
@@ -30,8 +34,7 @@ final case class Pipeline(
   /** The OP list actually executed, after reordering. */
   lazy val planned: Seq[Op] = OpFusion.plan(ops, reorder)
 
-  /** Run the pipeline. Each maximal run of planned row-level OPs between
-    * Deduplicators runs as one [[RowStage]] pass, traced or not. With a
+  /** Run the pipeline, one step per pass ([[steps]]), traced or not. With a
     * cache manager the longest already-cached prefix of the planned chain is
     * loaded instead of recomputed. In cache mode a row run's pass keeps each
     * version of every row and [[CacheManager.saveRun]] writes all of the
@@ -71,11 +74,11 @@ final case class Pipeline(
           kept
         }
         else if (savesRun || tracer.isDefined) {
-          val staged = RowStage.staged(df, rowOps, fuse)
+          val staged = RowStage.staged(df, rowOps)
           val versions = if (tracer.isDefined) staged.localCheckpoint() else staged
           tracer.foreach(_.record(step, RowStage.effects(versions, step.size)))
           if (savesRun) cache.get.saveRun(versions, keys.slice(i, next + 1)) else RowStage.at(versions, step.size)
-        } else RowStage.run(df, rowOps, fuse)
+        } else RowStage.run(df, rowOps)
       // The original dataset's cache (keys.head) is never evicted — the
       // checkpoint-mode peak is original + previous + in-flight = 3×S.
       (next, if (savesRun) out else cache.fold(out)(_.save(out, keys(next), Some(keys(i)).filter(_ != keys.head))))
@@ -83,16 +86,17 @@ final case class Pipeline(
   }
 
   /** Split `ops` into the passes [[run]] executes: each Deduplicator alone,
-    * each maximal run of row-level OPs together.
+    * and with `fuse` each maximal run of row-level OPs together, without it
+    * each row-level OP alone.
     */
   private def steps(ops: Seq[Op]): Seq[Seq[Op]] =
     ops.foldLeft(Vector.empty[Vector[Op]]) {
-      case (init :+ last, op: RowOp) if last.forall(_.isInstanceOf[RowOp]) => init :+ (last :+ op)
+      case (init :+ last, op: RowOp) if fuse && last.forall(_.isInstanceOf[RowOp]) => init :+ (last :+ op)
       case (acc, op) => acc :+ Vector(op)
     }
 }
 
 object Pipeline {
-  /** Convenience: run a plain OP list with no optimization or persistence. */
+  /** Convenience: run an OP list fused, without reordering or persistence. */
   def run(df: DataFrame, ops: Seq[Op]): DataFrame = Pipeline(ops).run(df)
 }

@@ -158,7 +158,7 @@ object OpRegistry {
 final case class Recipe(name: String, opSpecs: Seq[(String, Map[String, Any])]) {
   def ops: Seq[Op] = opSpecs.map { case (n, p) => OpRegistry.build(n, p) }
 
-  def pipeline(fuse: Boolean = false, reorder: Boolean = false,
+  def pipeline(fuse: Boolean = true, reorder: Boolean = false,
                tracer: Option[Tracer] = None, cache: Option[CacheManager] = None): Pipeline =
     Pipeline(ops, fuse, reorder, tracer, cache, inputId = name)
 

@@ -12,14 +12,13 @@ import scala.collection.mutable.ArrayBuffer
   *
   * A sample is `(text, meta, stats)`. Each OP runs at most once per sample,
   * and interpretation stops at the first Filter or MetaFilter that rejects
-  * it. A Filter whose stats keys are all present reuses them; otherwise it
-  * computes its stats over a [[TextContext]] of the current text. With
-  * `share` on (paper Sec. 7, OP fusion) one context per sample is built on
-  * the first Filter that needs stats and every later Filter reads it, so a
-  * view such as the word list is derived once; with `share` off each Filter
-  * builds its own. A Mapper that changes the text clears `stats` and drops
-  * the context, so no later Filter decides on the old text. Null text reads
-  * as "".
+  * it. Every Filter computes its stats and merges them into the sample's, so
+  * it never decides on a value another Filter wrote under its key. All
+  * Filters of a pass read one [[TextContext]] per sample (paper Sec. 7, OP
+  * fusion), built at the first Filter, so a view such as the word list is
+  * derived once. A Mapper that changes the text clears `stats` and drops the
+  * context, so no later Filter decides on the old text. Null text reads as
+  * "". How OPs are grouped into passes is [[Pipeline.fuse]]'s choice.
   */
 object RowStage {
 
@@ -38,12 +37,10 @@ object RowStage {
 
   /** Interpret `ops` over one sample: the edited text and stats, or None if
     * the sample is rejected. The text stays null only if no Mapper ran.
-    * `emit`, if given, sees the sample after each OP it passes; `share`
-    * lets Filters read one context until a Mapper edits the text.
+    * `emit`, if given, sees the sample after each OP it passes.
     */
   def apply(ops: Seq[RowOp], text: String, meta: Map[String, String],
-            stats: Map[String, Double], emit: Emit = null,
-            share: Boolean = false): Option[(String, Map[String, Double])] = {
+            stats: Map[String, Double], emit: Emit = null): Option[(String, Map[String, Double])] = {
     var t = text
     var s = stats
     var ctx: TextContext = null
@@ -55,10 +52,8 @@ object RowStage {
           val edited = m.mapText(if (t == null) "" else t)
           if (edited != t) { t = edited; s = Map.empty; ctx = null }
         case f: Filter =>
-          if (!f.statsKeys.forall(s.contains)) {
-            if (ctx == null || !share) ctx = new TextContext(if (t == null) "" else t)
-            s = s ++ f.computeStatsRow(ctx)
-          }
+          if (ctx == null) ctx = new TextContext(if (t == null) "" else t)
+          s = s ++ f.computeStatsRow(ctx)
           if (!f.keepRow(s)) return None
         case f: MetaFilter =>
           if (!f.keepMeta(meta)) return None
@@ -73,8 +68,7 @@ object RowStage {
     * it, so Catalyst never re-evaluates an OP inside a later predicate. `id`
     * and any extra columns pass through unchanged.
     */
-  def run(df: DataFrame, ops: Seq[RowOp], share: Boolean = false): DataFrame =
-    pass(df, ops, staged = false, share)
+  def run(df: DataFrame, ops: Seq[RowOp]): DataFrame = pass(df, ops, staged = false)
 
   /** One pass that keeps every OP's output, each version of a sample once.
     * A version lasts while the sample's text and every stats value it holds
@@ -88,8 +82,7 @@ object RowStage {
     * ([[CacheManager.saveRun]]) and the tracer reads each OP's effects from
     * it ([[effects]]).
     */
-  def staged(df: DataFrame, ops: Seq[RowOp], share: Boolean = false): DataFrame =
-    pass(df, ops, staged = true, share)
+  def staged(df: DataFrame, ops: Seq[RowOp]): DataFrame = pass(df, ops, staged = true)
 
   /** The versions of a [[staged]] frame that some stage `k` or later reads. */
   def since(versions: DataFrame, k: Int): DataFrame = versions.where(col(To) >= k)
@@ -129,7 +122,7 @@ object RowStage {
   private def overwrites(prev: Map[String, Double], next: Map[String, Double]): Boolean =
     (next ne prev) && prev.exists { case (k, v) => next.get(k).forall(java.lang.Double.compare(_, v) != 0) }
 
-  private def pass(df: DataFrame, ops: Seq[RowOp], staged: Boolean, share: Boolean): DataFrame = {
+  private def pass(df: DataFrame, ops: Seq[RowOp], staged: Boolean): DataFrame = {
     val schema = df.schema
     val (ti, mi, si) =
       (schema.fieldIndex(Schema.Text), schema.fieldIndex(Schema.Meta), schema.fieldIndex(Schema.Stats))
@@ -152,10 +145,10 @@ object RowStage {
               vs = s
             }
             to = i + 1
-          }, share)
+          })
           close()
           out
-        } else apply(ops, r.getString(ti), meta, stats, share = share).map { case (t, s) => Row.fromSeq(edited(t, s)) }
+        } else apply(ops, r.getString(ti), meta, stats).map { case (t, s) => Row.fromSeq(edited(t, s)) }
       }
     }(Encoders.row(if (!staged) schema else schema.add(From, IntegerType, nullable = false)
       .add(To, IntegerType, nullable = false).add(Added, MapType(StringType, IntegerType, valueContainsNull = false), nullable = false)))

@@ -1,7 +1,6 @@
 package repro.corpus
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.Schema
 
 /** Registries of the datasets the paper's recipes are built from:
   *

@@ -48,7 +48,8 @@ object DistExecutor {
   }
 
   /** The row-level OPs of `ops` over `docs`, through the shared row
-    * function ([[RowStage]]); Deduplicators are left to [[dedupGlobal]].
+    * function ([[RowStage]]), all in one pass per doc, as a fused
+    * [[Pipeline]] runs them; Deduplicators are left to [[dedupGlobal]].
     */
   def processRows(docs: Seq[Doc], ops: Seq[Op]): Seq[Doc] = {
     val rowOps = ops.collect { case r: RowOp => r }

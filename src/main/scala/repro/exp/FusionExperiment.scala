@@ -6,9 +6,10 @@ import repro.corpus.TextGen
 
 /** OP fusion & reordering effect (paper Sec. 8.2.2 / Fig. 9): the 14-OP
   * recipe (5 Mappers, 8 Filters of which 5 share the Words context, 1
-  * Deduplicator) run with and without the OP-list optimizer, on datasets of
-  * several sizes. Reports wall time and the shared-context recomputation
-  * actually avoided (tokenizer-call counts).
+  * Deduplicator) run plain (one pass per OP, so each Filter builds its own
+  * context) and fused and reordered (one pass per run of row OPs, one context
+  * per sample), on datasets of several sizes. Reports wall time and the
+  * shared-context recomputation actually avoided (tokenizer-call counts).
   */
 object FusionExperiment {
 

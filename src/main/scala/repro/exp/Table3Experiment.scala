@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.corpus.Components
 import repro.lm.{Judge, NGramLM}

@@ -1,6 +1,6 @@
 package repro.hpo
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.core._
 import repro.lm.NGramLM
 

@@ -58,16 +58,16 @@ object QualityClassifier {
   }
 
   /** Score a unified dataset: writes `doc_score` (P[high quality]) into the
-    * `stats` map, making the classifier consumable by stats-based tooling
-    * (Sampler.topByStat, HPO metrics, …).
+    * `stats` map, replacing any earlier score, making the classifier
+    * consumable by stats-based tooling (Sampler.topByStat, HPO metrics, …).
     */
   def score(model: Model, df: DataFrame): DataFrame = {
     val feats  = featurize(Schema.ensure(df), model.cfg)
     val scored = model.lr.transform(feats)
     val p1 = udf((v: Vector) => v(1))
     scored
-      .withColumn(Schema.Stats,
-        map_concat(col(Schema.Stats), map(lit("doc_score"), p1(col("probability")))))
+      .withColumn(Schema.Stats, map_concat(
+        map_filter(col(Schema.Stats), (k, _) => k =!= "doc_score"), map(lit("doc_score"), p1(col("probability")))))
       .drop("__tokens", "features", "rawPrediction", "probability", "prediction")
   }
 

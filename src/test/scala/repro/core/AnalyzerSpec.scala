@@ -30,6 +30,12 @@ class AnalyzerSpec extends SparkSpec with TestData {
     assert(Tokenizers.wordCalls.get() <= rows, s"${Tokenizers.wordCalls.get()} tokenizer calls for $rows rows")
   }
 
+  test("computeStats recomputes every dimension over stats that already hold its keys") {
+    val keys = Analyzer.defaultDims.flatMap(_.statsKeys)
+    val stale = sample.withColumn(Schema.Stats, map(keys.flatMap(k => Seq(lit(k), lit(-1.0))): _*))
+    assert(rowsOf(Analyzer.computeStats(stale)) == rowsOf(Analyzer.computeStats(sample)))
+  }
+
   test("summarize yields one row per metric with sane aggregates") {
     val summary = Analyzer.probe(sample).collect()
     assert(summary.length == 13)

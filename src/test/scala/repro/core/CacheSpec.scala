@@ -4,8 +4,8 @@ import java.nio.file.{Files, Path, Paths}
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData}
 
-/** Writes fixed stats `values` (overwriting any present ones, as a Filter
-  * whose keys are not all present does) and keeps every row.
+/** Writes fixed stats `values` (overwriting any present ones, as every
+  * Filter does) and keeps every row.
   */
 final case class StatsWriterFilter(values: Map[String, Double]) extends Filter {
   def name: String = "stats_writer_filter"

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.{SparkSpec, TestData}
 
 /** The shipped recipe files in configs/ must stay parseable and hold the

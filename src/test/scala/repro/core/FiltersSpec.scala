@@ -1,6 +1,5 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.{SparkSpec, TestData}
 import repro.core.Filters._
 
@@ -198,10 +197,10 @@ class FiltersSpec extends SparkSpec with TestData {
     assert(stats("text_len") >= 10)
   }
 
-  test("computeStats preserves previously computed keys (analyzer reuse)") {
+  test("computeStats keeps stats keys written by other producers") {
     val df = docsDf("some reasonable sentence here")
     val first = Analyzer.computeStats(df, Seq(WordCountFilter()))
-    // Inject a sentinel: rerunning computeStats must not overwrite existing keys.
+    // Inject a key no dimension writes: rerunning computeStats must keep it.
     val sentinel = first.withColumn(Schema.Stats,
       org.apache.spark.sql.functions.map_concat(
         org.apache.spark.sql.functions.col(Schema.Stats),

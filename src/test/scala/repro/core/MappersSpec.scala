@@ -1,6 +1,5 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.{SparkSpec, TestData}
 import repro.core.Mappers._
 

@@ -48,7 +48,7 @@ class OpFusionSpec extends SparkSpec with TestData {
     val df = docsDf((0 until 30).map(i => s"the sample number $i with several common words to tokenize"): _*)
     val filters: Seq[Op] = Seq(WordCountFilter(2), StopwordRatioFilter(0.05), WordRepetitionFilter(5, 0.5))
     Tokenizers.wordCalls.set(0)
-    Pipeline(filters).run(df).count()
+    Pipeline(filters, fuse = false).run(df).count()
     val plainCalls = Tokenizers.wordCalls.get()
     Tokenizers.wordCalls.set(0)
     Pipeline(filters, fuse = true).run(df).count()

@@ -58,6 +58,16 @@ class PipelineSpec extends SparkSpec with TestData {
     }
   }
 
+  test("unfused, each row OP is its own pass; by default a run of row OPs is one pass") {
+    import org.apache.spark.sql.execution.MapPartitionsExec
+    val ops = Seq(Mappers.LowercaseMapper(), Filters.TextLengthFilter(1), Filters.WordCountFilter(1))
+    val input = docsDf("Some Text Of Six Words Here").localCheckpoint()
+    def passes(pipe: Pipeline) =
+      pipe.run(input).queryExecution.executedPlan.collect { case m: MapPartitionsExec => m }.size
+    assert(passes(Pipeline(ops, fuse = false)) == ops.size)
+    assert(passes(Pipeline(ops)) == 1)
+  }
+
   test("a formatter in the op list is rejected, not run as a silent unification") {
     val e = intercept[IllegalArgumentException](
       Pipeline(Seq(Filters.TextLengthFilter(), Formatters.JsonlFormatter("ignored.jsonl"))))

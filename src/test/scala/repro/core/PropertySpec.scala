@@ -74,14 +74,42 @@ class PropertySpec extends SparkSpec with TestData {
     })
   }
 
-  test("sharing one context across Filters leaves every row's result unchanged") {
-    // Most drawn chains end at their first rejecting Filter, so a stale
-    // context shows only in the few that edit text between two Filters.
+  test("the row engine equals a naive per-OP interpreter") {
+    // The naive side builds a fresh context per Filter and always computes
+    // its stats, so a shared context gone stale or stats reused from a Filter
+    // with other parameters both show as a difference.
+    def naive(ops: Seq[RowOp], text: String, meta: Map[String, String]): Option[(String, Map[String, Double])] =
+      ops.foldLeft(Option((text, Map.empty[String, Double]))) {
+        case (None, _) => None
+        case (Some((t, s)), m: Mapper) => val e = m.mapText(t); Some(if (e != t) (e, Map.empty) else (t, s))
+        case (Some((t, s)), f: Filter) => Some((t, s ++ f.computeStatsRow(new TextContext(t)))).filter(r => f.keepRow(r._2))
+        case (Some(r), f: MetaFilter) => Some(r).filter(_ => f.keepMeta(meta))
+      }
+    import Filters._
     val pool: Seq[RowOp] = OpRegistry.specs.keys.toSeq.sorted.map(OpRegistry.build(_, Map.empty))
-      .collect { case m: Mapper => m; case f: Filter => f }
-    val chains = Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.oneOf(pool)))
-    check("share-diff", Prop.forAll(chains, textGen) { (ops, t) =>
-      RowStage(ops, t, Map.empty, Map.empty, share = true) == RowStage(ops, t, Map.empty, Map.empty, share = false)
+      .collect { case r: RowOp => r }
+    // Filters whose parameters change the value they write under one key.
+    val sameKey: Seq[Gen[Filter]] = Seq(
+      Gen.zip(Gen.choose(1, 12), Gen.choose(0.0, 1.0)).map { case (n, max) => WordRepetitionFilter(n, max) },
+      Gen.zip(Gen.choose(1, 12), Gen.choose(0.0, 1.0)).map { case (n, max) => CharRepetitionFilter(n, max) },
+      Gen.zip(Gen.choose(0, 20), Gen.oneOf("standard", "cjk", "code")).map { case (min, tok) => TokenCountFilter(min, tokenizer = tok) },
+      Gen.zip(Gen.oneOf("en", "zh"), Gen.choose(0.0, 1.0)).map { case (lang, min) => LanguageScoreFilter(lang, min) },
+    )
+    val op = Gen.frequency(3 -> Gen.oneOf(pool), 1 -> Gen.oneOf(sameKey).flatMap(identity))
+    val pair = Gen.oneOf(sameKey).flatMap(Gen.listOfN(2, _))
+    val chains = for {
+      base <- Gen.choose(0, 6).flatMap(Gen.listOfN(_, op))
+      both <- Gen.frequency(4 -> pair, 1 -> Gen.const(Nil))
+      i <- Gen.choose(0, base.size)
+      j <- Gen.choose(i, base.size)
+    } yield if (both.isEmpty) base else (base.take(i) :+ both(0)) ++ (base.slice(i, j) :+ both(1)) ++ base.drop(j)
+    val metas = for {
+      lang  <- Gen.oneOf("EN", "ZH")
+      sfx   <- Gen.oneOf(".py", ".txt")
+      stars <- Gen.oneOf("1", "50", "x")
+    } yield Map("language" -> lang, "suffix" -> sfx, "stars" -> stars)
+    check("naive-diff", Prop.forAll(chains, textGen, metas) { (ops, t, meta) =>
+      RowStage(ops, t, meta, Map.empty) == naive(ops, t, meta)
     }, tests = 1000)
   }
 

@@ -104,6 +104,14 @@ class RowStageSpec extends SparkSpec with TestData {
     assert(out.select(Schema.Stats).collect().map(_.getMap[String, Double](0)("num_words")).toSeq == Seq(2.0))
   }
 
+  test("a Filter computes its own stats even where an earlier Filter wrote its key") {
+    // The 5-gram ratio of this text is 0.5, the 10-gram ratio 0.0.
+    val text = "a b c d e f a b c d e f"
+    val ops = Seq(WordRepetitionFilter(5, 0.6), WordRepetitionFilter(10, 0.0))
+    assert(RowStage(ops, text, Map.empty, Map.empty) == Some((text, Map("word_rep_ratio" -> 0.0))))
+    assert(rowsOf(Pipeline(ops).run(docsDf(text))).map(_._3) == Seq(Map("word_rep_ratio" -> 0.0)))
+  }
+
   test("null text reads as empty and stays null unless a Mapper ran") {
     assert(RowStage(Seq(LowercaseMapper()), null, Map.empty, Map.empty) == Some(("", Map.empty)))
     assert(RowStage(Seq(TextLengthFilter(minLen = 0)), null, Map.empty, Map.empty) ==

@@ -1,6 +1,5 @@
 package repro.hpo
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.{SparkSpec, TestData}
 import repro.core._
 import repro.corpus.TextGen

@@ -33,6 +33,14 @@ class QualityClassifierSpec extends SparkSpec with TestData {
     assert(scores.forall(s => s >= 0.0 && s <= 1.0))
   }
 
+  test("scoring data that already has a doc_score replaces it") {
+    val df = pos.limit(10).localCheckpoint()
+    val stale = df.withColumn(Schema.Stats, map(lit("doc_score"), lit(-1.0), lit("other"), lit(3.0)))
+    val fresh = rowsOf(QualityClassifier.score(model, df)).map(r => r._1 -> r._3("doc_score"))
+    val twice = rowsOf(QualityClassifier.score(model, QualityClassifier.score(model, stale)))
+    assert(twice.map(r => r._1 -> r._3) == fresh.map { case (id, p) => id -> Map("doc_score" -> p, "other" -> 3.0) })
+  }
+
   test("label keep retains mostly clean docs from a mixture") {
     val mixture = TextGen.docs(spark, Seq("clean" -> 0.3, "gibberish" -> 0.7), 200, seed = 31L)
     val kept = QualityClassifier.keepLabel(QualityClassifier.score(model, mixture))
