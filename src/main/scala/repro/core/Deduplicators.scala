@@ -19,7 +19,39 @@ object Hashing {
     * differences collapse to one fingerprint.
     */
   def contentHash(text: String): Long =
-    h64(if (text == null) "" else text.toLowerCase.replaceAll("\\s+", " ").trim)
+    h64(if (text == null) "" else collapseSpace(text.toLowerCase))
+
+  /** `s` with each run of regex `\s` characters ([[Mappers.isRegexSpace]])
+    * replaced by one space, then trimmed like `String.trim`: one scan, and no
+    * copy if nothing changes.
+    */
+  private def collapseSpace(s: String): String = {
+    var b = 0
+    var e = s.length
+    while (b < e && s.charAt(b) <= ' ') b += 1
+    while (e > b && s.charAt(e - 1) <= ' ') e -= 1
+    // A `\s` character other than a space, or a space before another one,
+    // must be rewritten; a trimmed text ends in neither.
+    def rewrite(i: Int): Boolean = {
+      val c = s.charAt(i)
+      Mappers.isRegexSpace(c) && (c != ' ' || Mappers.isRegexSpace(s.charAt(i + 1)))
+    }
+    var i = b
+    while (i < e && !rewrite(i)) i += 1
+    if (i == e) s.substring(b, e)
+    else {
+      val sb = new java.lang.StringBuilder(e - b).append(s, b, i)
+      while (i < e) {
+        val c = s.charAt(i)
+        if (!Mappers.isRegexSpace(c)) { sb.append(c); i += 1 }
+        else {
+          sb.append(' ')
+          while (i < e && Mappers.isRegexSpace(s.charAt(i))) i += 1
+        }
+      }
+      sb.toString
+    }
+  }
 
   /** MinHash signature over word-shingle 64-bit hashes.
     * perm_i(h) = a_i*h + b_i (odd a_i, wraparound multiply is a fine 2^64 hash
@@ -149,6 +181,7 @@ object Deduplicators {
     * documents is kept only at its first occurrence (smallest (id, offset));
     * documents are reassembled without their removed paragraphs, and samples
     * left empty are dropped. This is the cross-document boilerplate killer.
+    * Like a Mapper's edit, a changed text clears the sample's stats.
     */
   final case class ParagraphDeduplicator() extends Deduplicator {
     val name = "paragraph_deduplicator"
@@ -167,8 +200,10 @@ object Deduplicators {
         .agg(concat_ws("\n\n", array_sort(collect_list(struct(col("__idx"), col("__para"))))
           .getField("__para")) as "__text")
         .filter(length(col("__text")) > 0)
-      df.drop(Schema.Text)
-        .join(reassembled, Schema.Id)
+      df.join(reassembled, Schema.Id)
+        .withColumn(Schema.Stats,
+          when(col("__text") === col(Schema.Text), col(Schema.Stats)).otherwise(Schema.emptyStats))
+        .drop(Schema.Text)
         .withColumnRenamed("__text", Schema.Text)
     }
   }

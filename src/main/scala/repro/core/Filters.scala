@@ -32,6 +32,34 @@ object Filters {
 
   private def ratio(num: Double, den: Double): Double = if (den <= 0) 0.0 else num / den
 
+  /** How often each distinct item of `0 until size` occurs, in order of first
+    * occurrence. Items are grouped by exact equality `same(i, j)` in an
+    * open-addressing table; `hash` must agree on equal items. This is how the
+    * repetition Filters count n-grams without building a string per n-gram.
+    */
+  private def occurrences(size: Int, hash: Int => Int, same: (Int, Int) => Boolean): Array[Int] = {
+    var cap = 2
+    while (cap < 2 * size) cap <<= 1
+    val first = new Array[Int](cap) // 1 + the first item of the slot's class; 0 = free
+    val hashes = new Array[Int](cap)
+    val slotClass = new Array[Int](cap)
+    val counts = new Array[Int](size)
+    var classes = 0
+    var i = 0
+    while (i < size) {
+      val h = hash(i)
+      val m = h * 0x9E3779B9
+      var slot = (m ^ (m >>> 16)) & (cap - 1)
+      while (first(slot) != 0 && !(hashes(slot) == h && same(first(slot) - 1, i))) slot = (slot + 1) & (cap - 1)
+      if (first(slot) == 0) {
+        first(slot) = i + 1; hashes(slot) = h; slotClass(slot) = classes; classes += 1
+      }
+      counts(slotClass(slot)) += 1
+      i += 1
+    }
+    java.util.Arrays.copyOf(counts, classes)
+  }
+
   /** Keep samples whose character length lies in [minLen, maxLen]. */
   final case class TextLengthFilter(minLen: Int = 10, maxLen: Int = 1000000) extends StatFilter("text_len", Set.empty) {
     val name = "text_length_filter"
@@ -107,10 +135,16 @@ object Filters {
     */
   final case class SpecialCharRatioFilter(max: Double = 0.25) extends StatFilter("special_ratio", Set(ContextKey.Chars)) {
     val name = "special_char_ratio_filter"
-    private val basicPunct = ".,;:!?'\"()-\n\t ".toSet
+    private val basicPunct = ".,;:!?'\"()-\n\t "
     def stat(ctx: TextContext) = {
       val t = ctx.text
-      val special = t.count(c => !Character.isLetterOrDigit(c) && !basicPunct.contains(c) && !Tokenizers.isCjk(c))
+      var special = 0
+      var i = 0
+      while (i < t.length) {
+        val c = t.charAt(i)
+        if (!Character.isLetterOrDigit(c) && basicPunct.indexOf(c) < 0 && !Tokenizers.isCjk(c)) special += 1
+        i += 1
+      }
       ratio(special.toDouble, t.length.toDouble)
     }
     def keep(v: Double) = v <= max
@@ -125,10 +159,19 @@ object Filters {
       val t = ctx.text
       if (t.length < n + 1) 0.0
       else {
-        val counts = new scala.collection.mutable.HashMap[String, Int]
-        var i = 0
-        while (i + n <= t.length) { val g = t.substring(i, i + n); counts.update(g, counts.getOrElse(g, 0) + 1); i += 1 }
-        ratio(counts.values.max.toDouble, (t.length - n + 1).toDouble)
+        // Window i's hash is String.hashCode of t.substring(i, i + n), rolled
+        // forward one character at a time; pow = 31^n.
+        val grams = t.length - n + 1
+        val hashes = new Array[Int](grams)
+        var h = 0
+        var pow = 1
+        var k = 0
+        while (k < n) { h = 31 * h + t.charAt(k); pow *= 31; k += 1 }
+        hashes(0) = h
+        var i = 1
+        while (i < grams) { h = 31 * h + t.charAt(i + n - 1) - pow * t.charAt(i - 1); hashes(i) = h; i += 1 }
+        val counts = occurrences(grams, hashes(_), (a, b) => t.regionMatches(a, t, b, n))
+        ratio(counts.max.toDouble, grams.toDouble)
       }
     }
     def keep(v: Double) = v <= max
@@ -140,12 +183,18 @@ object Filters {
   final case class WordRepetitionFilter(n: Int = 5, max: Double = 0.3) extends StatFilter("word_rep_ratio", Set(ContextKey.Words)) {
     val name = "word_repetition_filter"
     def stat(ctx: TextContext) = {
-      val grams = Tokenizers.ngrams(ctx.words, n)
-      if (grams.isEmpty) 0.0
+      val w = ctx.words
+      if (w.length < n) 0.0
       else {
-        val counts = grams.groupBy(identity).view.mapValues(_.length)
-        val dup = counts.values.filter(_ > 1).sum
-        ratio(dup.toDouble, grams.length.toDouble)
+        // Words hold no space, so two space-joined n-grams are equal exactly
+        // when their word sequences are: compare interned word ids instead.
+        val wordIds = new scala.collection.mutable.HashMap[String, Int]
+        val ids = w.map(word => wordIds.getOrElseUpdate(word, wordIds.size))
+        val grams = w.length - n + 1
+        def gramHash(g: Int): Int = { var h = 0; var k = 0; while (k < n) { h = 31 * h + ids(g + k); k += 1 }; h }
+        def sameGram(a: Int, b: Int): Boolean = { var k = 0; while (k < n && ids(a + k) == ids(b + k)) k += 1; k >= n }
+        val dup = occurrences(grams, gramHash, sameGram).filter(_ > 1).sum
+        ratio(dup.toDouble, grams.toDouble)
       }
     }
     def keep(v: Double) = v <= max

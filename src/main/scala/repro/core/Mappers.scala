@@ -10,18 +10,70 @@ import java.util.regex.Pattern
   */
 object Mappers {
 
+  // The kernels below return what one `String.replaceAll` per pattern returns,
+  // with less work: each constant pattern is compiled once, and a pattern runs
+  // only when the text holds a character that every match must contain.
+
+  private val EmailRe = Pattern.compile("[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}")
+  private val IpRe = Pattern.compile("\\b(?:(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\.){3}(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\b")
+  private val LinkRe = Pattern.compile("(?i)\\b(?:https?://|ftp://|www\\.)[^\\s<>\"]+")
+  private val ScriptRe = Pattern.compile("(?s)<(script|style)[^>]*>.*?</\\1>")
+  private val TagRe = Pattern.compile("<[^>]{0,500}>")
+  private val CharRefRe = Pattern.compile("&#\\d+;")
+  private val WordSplitRe = Pattern.compile("(?<= )|(?=\\s)")
+  private val SpacesRe = Pattern.compile("[ ]{2,}")
+
+  /** `c`, or a space if `c` is one of the unicode spaces that whitespace
+    * normalization maps to one.
+    */
+  private def asSpace(c: Char): Char =
+    if (c < '\u00A0') c
+    else if (c == '\u00A0' || c == '\u1680' || (c >= '\u2000' && c <= '\u200B') || c == '\u202F' ||
+             c == '\u205F' || c == '\u3000' || c == '\uFEFF') ' '
+    else c
+
+  /** Whether `c` is in `java.util.regex`'s `\s` class: space, tab, line feed,
+    * vertical tab, form feed or carriage return.
+    */
+  private[core] def isRegexSpace(c: Char): Boolean = c == ' ' || (c >= '\t' && c <= '\r')
+
   /** Collapse horizontal whitespace runs, normalize unicode spaces, strip
     * trailing spaces, and bound consecutive blank lines to one.
+    *
+    * One scan: unicode spaces become spaces, each line is trimmed like
+    * `String.trim` and its space/tab runs become one space, and kept lines
+    * are joined by one newline, or by two where blank lines lay between.
     */
   final case class WhitespaceNormalizationMapper() extends Mapper {
     val name = "whitespace_normalization_mapper"
-    private val unicodeSpaces = "[\\u00A0\\u1680\\u2000-\\u200B\\u202F\\u205F\\u3000\\uFEFF]"
-    def mapText(text: String): String =
-      text.replaceAll(unicodeSpaces, " ")
-        .split("\n", -1).map(_.replaceAll("[ \\t]+", " ").trim)
-        .mkString("\n")
-        .replaceAll("\n{3,}", "\n\n")
-        .trim
+    def mapText(text: String): String = {
+      val n = text.length
+      val sb = new java.lang.StringBuilder(n)
+      var blank = false // a blank line since the last kept line
+      var start = 0
+      while (start <= n) {
+        val nl = text.indexOf('\n', start)
+        val end = if (nl < 0) n else nl
+        var s = start
+        while (s < end && asSpace(text.charAt(s)) <= ' ') s += 1
+        var e = end
+        while (e > s && asSpace(text.charAt(e - 1)) <= ' ') e -= 1
+        if (s == e) blank = true
+        else {
+          if (sb.length > 0) sb.append(if (blank) "\n\n" else "\n")
+          blank = false
+          var inRun = false
+          while (s < e) {
+            val c = asSpace(text.charAt(s))
+            if (c == ' ' || c == '\t') { if (!inRun) sb.append(' '); inRun = true }
+            else { sb.append(c); inRun = false }
+            s += 1
+          }
+        }
+        start = end + 1
+      }
+      sb.toString
+    }
   }
 
   /** Fix messy codes: NFC-normalize, drop control chars (except \n\t), strip
@@ -29,44 +81,70 @@ object Mappers {
     */
   final case class FixUnicodeMapper() extends Mapper {
     val name = "fix_unicode_mapper"
+    private def junk(c: Char): Boolean = c == '\uFFFD' || c == '\u007F' || (c < ' ' && c != '\n' && c != '\t')
     def mapText(text: String): String = {
       val nfc = Normalizer.normalize(text, Normalizer.Form.NFC)
-      nfc.replace("�", "")
-        .replaceAll("[\\p{Cntrl}&&[^\n\t]]", "")
-        .replaceAll("â€™", "'").replaceAll("â€œ|â€", "\"")
+      var i = 0
+      while (i < nfc.length && !junk(nfc.charAt(i))) i += 1
+      val clean =
+        if (i == nfc.length) nfc
+        else {
+          val sb = new java.lang.StringBuilder(nfc.length).append(nfc, 0, i)
+          while (i < nfc.length) { val c = nfc.charAt(i); if (!junk(c)) sb.append(c); i += 1 }
+          sb.toString
+        }
+      // The second closing-quote form ends in an invisible U+009D.
+      if (clean.indexOf("\u00E2\u20AC") < 0) clean
+      else clean.replace("\u00E2\u20AC\u2122", "'").replace("\u00E2\u20AC\u0153", "\"").replace("\u00E2\u20AC\u009D", "\"")
     }
   }
 
-  /** Remove e-mail addresses (PII scrubbing for pre-training corpora). */
+  /** Remove e-mail addresses (PII scrubbing for pre-training corpora).
+    * `replacement` has `Matcher.replaceAll` semantics: `$` and backslash
+    * are special.
+    */
   final case class RemoveEmailsMapper(replacement: String = "") extends Mapper {
     val name = "remove_emails_mapper"
-    private val re = "[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}"
-    def mapText(text: String): String = text.replaceAll(re, replacement)
+    def mapText(text: String): String =
+      if (text.indexOf('@') < 0) text else EmailRe.matcher(text).replaceAll(replacement)
   }
 
   /** Remove IPv4 addresses (PII scrubbing). */
   final case class RemoveIpAddressesMapper(replacement: String = "") extends Mapper {
     val name = "remove_ip_addresses_mapper"
-    private val re = "\\b(?:(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\.){3}(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\b"
-    def mapText(text: String): String = text.replaceAll(re, replacement)
+    def mapText(text: String): String =
+      if (text.indexOf('.') < 0) text else IpRe.matcher(text).replaceAll(replacement)
   }
 
   /** Remove http(s)/ftp/www links (web-scrape debris). */
   final case class RemoveLinksMapper(replacement: String = "") extends Mapper {
     val name = "remove_links_mapper"
-    private val re = "(?i)\\b(?:https?://|ftp://|www\\.)[^\\s<>\"]+"
-    def mapText(text: String): String = text.replaceAll(re, replacement)
+    private def isW(c: Char) = c == 'w' || c == 'W'
+    /** Whether `text` holds `www.` in any ASCII case, as the pattern's `(?i)` matches it. */
+    private def hasWwwDot(text: String): Boolean = {
+      var i = text.indexOf('.', 3)
+      while (i >= 0 && !(isW(text.charAt(i - 1)) && isW(text.charAt(i - 2)) && isW(text.charAt(i - 3))))
+        i = text.indexOf('.', i + 1)
+      i >= 0
+    }
+    def mapText(text: String): String =
+      if (text.indexOf("://") < 0 && !hasWwwDot(text)) text else LinkRe.matcher(text).replaceAll(replacement)
   }
 
   /** Strip HTML/XML tags and decode the common entities. */
   final case class RemoveHtmlTagsMapper() extends Mapper {
     val name = "remove_html_tags_mapper"
-    def mapText(text: String): String =
-      text.replaceAll("(?s)<(script|style)[^>]*>.*?</\\1>", " ")
-        .replaceAll("<[^>]{0,500}>", " ")
-        .replaceAll("&nbsp;", " ").replaceAll("&amp;", "&")
-        .replaceAll("&lt;", "<").replaceAll("&gt;", ">")
-        .replaceAll("&quot;", "\"").replaceAll("&#\\d+;", "")
+    def mapText(text: String): String = {
+      val untagged =
+        if (text.indexOf('<') < 0) text
+        else TagRe.matcher(ScriptRe.matcher(text).replaceAll(" ")).replaceAll(" ")
+      if (untagged.indexOf('&') < 0) untagged
+      else {
+        val decoded = untagged.replace("&nbsp;", " ").replace("&amp;", "&")
+          .replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", "\"")
+        CharRefRe.matcher(decoded).replaceAll("")
+      }
+    }
   }
 
   /** Normalize unicode punctuation to its ASCII counterpart. */
@@ -97,14 +175,31 @@ object Mappers {
     def mapText(text: String): String = text.filterNot(set.contains)
   }
 
-  /** Drop words longer than `maxLen` (URLs-glued-together, base64 debris). */
+  /** Drop words longer than `maxLen` (URLs-glued-together, base64 debris).
+    * The text splits before each whitespace character and after each
+    * space, and a token whose trimmed length exceeds `maxLen` is dropped
+    * with the tab or line break that leads it. Only text with a
+    * whitespace-free run longer than `maxLen` can lose a token.
+    */
   final case class RemoveLongWordsMapper(maxLen: Int = 40) extends Mapper {
     val name = "remove_long_words_mapper"
-    def mapText(text: String): String =
-      text.split("(?<= )|(?=\\s)").filter { tok =>
-        tok.isEmpty || tok.forall(Character.isWhitespace) || tok.trim.length <= maxLen
-      }.mkString("")
-        .replaceAll("[ ]{2,}", " ")
+    private def hasLongRun(text: String): Boolean = {
+      var run = 0
+      var i = 0
+      while (i < text.length && run <= maxLen) {
+        run = if (isRegexSpace(text.charAt(i))) 0 else run + 1
+        i += 1
+      }
+      run > maxLen
+    }
+    def mapText(text: String): String = {
+      val kept =
+        if (!hasLongRun(text)) text
+        else WordSplitRe.split(text).filter { tok =>
+          tok.isEmpty || tok.forall(Character.isWhitespace) || tok.trim.length <= maxLen
+        }.mkString("")
+      if (kept.indexOf("  ") < 0) kept else SpacesRe.matcher(kept).replaceAll(" ")
+    }
   }
 
   /** Remove lines that match any header pattern (LaTeX preamble, markdown

@@ -23,33 +23,46 @@ object Tokenizers {
     */
   val wordCalls = new AtomicLong(0L)
 
-  @inline def isCjk(c: Char): Boolean = {
-    val b = Character.UnicodeBlock.of(c)
-    b == Character.UnicodeBlock.CJK_UNIFIED_IDEOGRAPHS ||
-    b == Character.UnicodeBlock.CJK_UNIFIED_IDEOGRAPHS_EXTENSION_A ||
-    b == Character.UnicodeBlock.CJK_SYMBOLS_AND_PUNCTUATION
-  }
+  /** Whether `c` lies in one of three CJK blocks: CJK Symbols and
+    * Punctuation (U+3000–U+303F), CJK Unified Ideographs Extension A
+    * (U+3400–U+4DBF) or CJK Unified Ideographs (U+4E00–U+9FFF). Range checks,
+    * not `Character.UnicodeBlock.of`, so a character below U+3000 costs one
+    * comparison.
+    */
+  @inline def isCjk(c: Char): Boolean =
+    c >= '\u3000' && (c <= '\u303F' || (c >= '\u3400' && c <= '\u4DBF') || (c >= '\u4E00' && c <= '\u9FFF'))
 
   /** Standard tokenizer: lowercased [letter|digit]+ runs; CJK chars are
-    * individual tokens. Deterministic, locale-independent.
+    * individual tokens. Deterministic, locale-independent. A run whose
+    * characters are all lowercase already is a substring of `text`; only
+    * other runs are copied, one `Character.toLowerCase` per character.
     */
   def words(text: String): Array[String] = {
     wordCalls.incrementAndGet()
     if (text == null || text.isEmpty) return Array.empty
     val out = new ArrayBuffer[String](16)
-    val sb  = new StringBuilder
+    var start = -1 // first index of the current run, or -1
+    var lower = true // whether the current run is lowercase already
+    def endRun(end: Int): Unit = if (start >= 0) {
+      out += (if (lower) text.substring(start, end) else {
+        val cs = new Array[Char](end - start)
+        var k = 0
+        while (k < cs.length) { cs(k) = Character.toLowerCase(text.charAt(start + k)); k += 1 }
+        new String(cs)
+      })
+      start = -1
+    }
     var i = 0
     while (i < text.length) {
       val c = text.charAt(i)
-      if (isCjk(c)) {
-        if (sb.nonEmpty) { out += sb.toString; sb.clear() }
-        out += c.toString
-      } else if (Character.isLetterOrDigit(c)) {
-        sb.append(Character.toLowerCase(c))
-      } else if (sb.nonEmpty) { out += sb.toString; sb.clear() }
+      if (isCjk(c)) { endRun(i); out += String.valueOf(c) }
+      else if (Character.isLetterOrDigit(c)) {
+        if (start < 0) { start = i; lower = true }
+        if (Character.toLowerCase(c) != c) lower = false
+      } else endRun(i)
       i += 1
     }
-    if (sb.nonEmpty) out += sb.toString
+    endRun(text.length)
     out.toArray
   }
 

@@ -60,15 +60,25 @@ object QualityClassifier {
   /** Score a unified dataset: writes `doc_score` (P[high quality]) into the
     * `stats` map, replacing any earlier score, making the classifier
     * consumable by stats-based tooling (Sampler.topByStat, HPO metrics, …).
+    *
+    * The score is the logistic of `w·x + b`, from the model's weights and
+    * intercept alone, in the order `LogisticRegressionModel` computes its
+    * probability, so it is the same double. A task that closed over the model
+    * would carry its training summary and, through it, the SparkSession,
+    * which cannot be serialized once the session has run a `Dataset.observe`.
     */
   def score(model: Model, df: DataFrame): DataFrame = {
-    val feats  = featurize(Schema.ensure(df), model.cfg)
-    val scored = model.lr.transform(feats)
-    val p1 = udf((v: Vector) => v(1))
-    scored
+    val w = model.lr.coefficients.toArray
+    val b = model.lr.intercept
+    val p1 = udf { (x: Vector) =>
+      var dot = 0.0
+      x.foreachActive((i, v) => dot += v * w(i))
+      1.0 - 1.0 / (1.0 + math.exp(dot + b))
+    }
+    featurize(Schema.ensure(df), model.cfg)
       .withColumn(Schema.Stats, map_concat(
-        map_filter(col(Schema.Stats), (k, _) => k =!= "doc_score"), map(lit("doc_score"), p1(col("probability")))))
-      .drop("__tokens", "features", "rawPrediction", "probability", "prediction")
+        map_filter(col(Schema.Stats), (k, _) => k =!= "doc_score"), map(lit("doc_score"), p1(col("features")))))
+      .drop("__tokens", "features")
   }
 
   /** Keep rule "label": doc_score > 0.5. */

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
+import org.apache.spark.sql.functions._
 import repro.core.Deduplicators._
 
 class DedupSpec extends SparkSpec with TestData {
@@ -146,6 +147,15 @@ class DedupSpec extends SparkSpec with TestData {
     assert(t.head.contains(boiler)) // first occurrence survives
     assert(!t(1).contains(boiler))
     assert(t(1).contains("second doc real text"))
+  }
+
+  test("paragraph dedup clears the stats of a sample whose text it edits, and only those") {
+    val boiler = "subscribe to our newsletter now"
+    val first = s"first doc\n\n$boiler"
+    val df = docsDf(first, s"$boiler\n\nsecond doc")
+      .withColumn(Schema.Stats, map(lit("text_len"), length(col(Schema.Text)).cast("double")))
+    val out = rowsOf(ParagraphDeduplicator()(df))
+    assert(out.map(r => r._2 -> r._3) == Seq(first -> Map("text_len" -> first.length.toDouble), "second doc" -> Map.empty))
   }
 
   test("minhash dedup removes near duplicates, keeps distinct docs") {

@@ -3,6 +3,7 @@ package repro.quality
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestData}
 import repro.core.Schema
+import repro.core.Deduplicators.MinHashDeduplicator
 import repro.corpus.TextGen
 
 class QualityClassifierSpec extends SparkSpec with TestData {
@@ -83,5 +84,16 @@ class QualityClassifierSpec extends SparkSpec with TestData {
       TextGen.docs(spark, Seq("code" -> 0.6, "codeNoise" -> 0.4), 60, seed = 63L),
       TextGen.docs(spark, Seq("code" -> 0.35, "codeNoise" -> 0.65), 60, seed = 64L))
     assert(f1 < 0.9, s"code f1=$f1 should be visibly below the clean-text classifiers")
+  }
+
+  test("a session that ran MinHash dedup can still train and score") {
+    // Connected components' Dataset.observe gives the session an observation
+    // manager, which no task can serialize; a scoring task must not reach it.
+    assert(MinHashDeduplicator()(pos.limit(40)).count() > 0)
+    val fresh = QualityClassifier.train(pos.limit(100), neg.limit(100),
+      QualityClassifier.Config(numFeatures = 1 << 12, maxIter = 10))
+    val scores = QualityClassifier.score(fresh, pos.limit(10))
+      .select(col(Schema.Stats).getItem("doc_score")).collect().map(_.getDouble(0))
+    assert(scores.length == 10 && scores.forall(s => s >= 0.0 && s <= 1.0))
   }
 }
