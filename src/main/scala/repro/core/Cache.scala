@@ -143,22 +143,18 @@ object CacheManager {
   private val RefFile = "_ref"
 }
 
-/** Closed-form space-usage model from Appendix A.2, used to decide how many
-  * caches fit the available disk before processing starts.
+/** Closed-form space-usage model from Appendix A.2. Whoever builds the
+  * [[CacheManager]] chooses its mode; this bounds what cache mode stores.
   */
 object SpaceModel {
   /** Cache-mode space: (1 + M + F + 1(F>0) + D) × S — one cache for the
     * loaded dataset, one per OP, plus one extra for the first Filter (it adds
     * the stats column). That is the paper's count of one full copy per OP.
     * Here a row run stores each version of a row once ([[CacheManager.saveRun]]),
-    * so the real size is smaller; the formula stays as the conservative upper
-    * bound [[choosePolicy]] plans with.
+    * so the real size is smaller and the formula is a conservative upper bound.
     */
   def cacheMode(mappers: Int, filters: Int, dedups: Int, datasetBytes: Long): Long =
     (1L + mappers + filters + (if (filters > 0) 1 else 0) + dedups) * datasetBytes
-
-  /** Checkpoint-mode peak: 3 × S (original + previous + in-flight). */
-  def checkpointMode(datasetBytes: Long): Long = 3L * datasetBytes
 
   /** Same accounting driven by an OP list. */
   def cacheMode(ops: Seq[Op], datasetBytes: Long): Long = {
@@ -167,14 +163,4 @@ object SpaceModel {
     val d = ops.count(_.isInstanceOf[Deduplicator])
     cacheMode(m, f, d, datasetBytes)
   }
-
-  /** Decide whether per-OP caching fits in `availableBytes`, falling back to
-    * checkpoint mode and then to no persistence (paper: the system "actively
-    * monitors disk space … automatically determines if, and when, checkpoints
-    * and cache should be deployed").
-    */
-  def choosePolicy(ops: Seq[Op], datasetBytes: Long, availableBytes: Long): String =
-    if (cacheMode(ops, datasetBytes) <= availableBytes) CacheManager.ModeCache
-    else if (checkpointMode(datasetBytes) <= availableBytes) CacheManager.ModeCheckpoint
-    else "none"
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Observation}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.util.hashing.MurmurHash3
@@ -103,60 +103,34 @@ object Hashing {
   def hamming(a: Long, b: Long): Int = java.lang.Long.bitCount(a ^ b)
 }
 
-/** Distributed connected components over an undirected edge list, via
-  * iterative min-label propagation (the standard bounded-diameter dataflow
-  * formulation). [[OpUtil.lsh]] turns verified LSH pairs into clusters with it.
-  *
-  * Round 0 labels each vertex straight from the edge list with the minimum of
-  * itself and its neighbours. Every later round is one aggregation that also
-  * carries each vertex's previous label; an `Observation` on the round's eager
-  * checkpoint counts the labels that changed, so deciding whether to stop
-  * costs no Spark job of its own. A k-edge chain takes k + 1 rounds, and a
-  * graph whose labels still change after `maxIter` rounds is an error, not a
-  * partial answer.
+/** Connected components of an undirected edge list, by union-find on the
+  * driver: [[OpUtil.lsh]] turns its verified pairs into clusters with it.
+  * `find` halves the path it walks, and a union links the larger root under
+  * the smaller, so each root is its component's minimum and nothing recurses,
+  * however long a chain.
   */
 object ConnectedComponents {
-  /** @param edges (src: Long, dst: Long) undirected
-    * @return (id, comp) — comp is the minimum id reachable from `id`
+  /** @return each vertex of an edge that is not a self-loop, mapped to the
+    *         minimum id of its component
     */
-  def run(edges: DataFrame, maxIter: Int = 25): DataFrame = {
-    val e = edges.select(col("src").cast("long"), col("dst").cast("long"))
-      .filter(col("src") =!= col("dst"))
-      .select(least(col("src"), col("dst")) as "src", greatest(col("src"), col("dst")) as "dst")
-      .distinct()
-      .localCheckpoint(true)
-    // Each edge in both directions, so one join sends labels across all edges.
-    val adj = e.union(e.select(col("dst") as "src", col("src") as "dst"))
-    // Round 0: each vertex takes the least of itself and its neighbours.
-    var (labels, changed) = settle(
-      adj.select(col("src") as "id", least(col("src"), col("dst")) as "comp", col("src") as "prev"))
-    var rounds = 1
-    while (changed > 0 && rounds < maxIter) {
-      // Only a vertex's own row carries its previous label.
-      val sent = adj.join(labels.withColumnRenamed("id", "src"), "src")
-        .select(col("dst") as "id", col("comp"), lit(null).cast("long") as "prev")
-      val (next, n) = settle(labels.select(col("id"), col("comp"), col("comp") as "prev").union(sent))
-      labels = next
-      changed = n
-      rounds += 1
+  def run(edges: Iterable[(Long, Long)]): Map[Long, Long] = {
+    val parent = scala.collection.mutable.HashMap.empty[Long, Long]
+    def find(v: Long): Long = {
+      var x = v
+      var p = parent.getOrElseUpdate(x, x)
+      while (p != x) {
+        val g = parent(p)
+        parent(x) = g
+        x = g
+        p = parent(x)
+      }
+      x
     }
-    if (changed > 0)
-      throw new IllegalStateException(s"connected components did not converge in $maxIter rounds")
-    labels
-  }
-
-  /** One round's labels from candidate rows `(id, comp, prev)`: the least
-    * `comp` per id, checkpointed, with the number of ids whose label differs
-    * from their least `prev`, counted by the checkpoint's own job.
-    */
-  private def settle(candidates: DataFrame): (DataFrame, Long) = {
-    val changes = Observation()
-    val labels = candidates
-      .groupBy("id").agg(min("comp") as "comp", min("prev") as "prev")
-      .observe(changes, count(when(col("comp") =!= col("prev"), 1)) as "changed")
-      .select("id", "comp")
-      .localCheckpoint(true)
-    (labels, changes.get("changed").asInstanceOf[Long])
+    for ((a, b) <- edges if a != b) {
+      val (ra, rb) = (find(a), find(b))
+      if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb)
+    }
+    parent.keys.toList.map(v => v -> find(v)).toMap
   }
 }
 
@@ -210,7 +184,8 @@ object Deduplicators {
 
   /** Near-duplicate removal via MinHash-LSH over word shingles ([[OpUtil.lsh]]):
     * signatures → band buckets → star pairs to each bucket's minimum id →
-    * signature-estimated Jaccard check → connected components → keep cluster heads.
+    * signature-estimated Jaccard check → union-find over the verified edges on
+    * the driver → keep each cluster's minimum id.
     *
     * Defaults (128 perms, 16 bands × 8 rows) put the S-curve threshold near
     * Jaccard ≈ 0.7, matching common LLM-corpus dedup settings.
@@ -244,7 +219,8 @@ object Deduplicators {
 
   /** Near-duplicate removal via 64-bit SimHash: each of the 4 16-bit blocks is
     * an LSH band ([[OpUtil.lsh]]), exact Hamming distance verifies the star
-    * pairs, connected components cluster — the "vector-based" method of Table 1.
+    * pairs, and a union-find over the verified edges on the driver clusters —
+    * the "vector-based" method of Table 1.
     */
   final case class SimHashDeduplicator(hammingMax: Int = 3) extends Deduplicator {
     val name = "simhash_deduplicator"

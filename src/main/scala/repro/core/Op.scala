@@ -162,9 +162,13 @@ private[core] object OpUtil {
     * (`bucketKey(sig, band)`), each member of a bucket pairs with the bucket's
     * minimum id (star pairs are linear in bucket size, so no bucket is
     * dropped), a pair whose signatures are `similar` is an edge, and each
-    * connected component keeps its minimum id. The input is materialized
-    * once, since it is read twice (signatures, then the kept rows):
-    * otherwise every upstream OP runs twice per row.
+    * connected component keeps its minimum id. The verified edges are
+    * collected once and clustered on the driver by [[ConnectedComponents]]:
+    * a row pairs with at most one minimum per band, so the driver holds at
+    * most `bands` edges, two longs each, per input row. The dropped ids go
+    * back as a broadcast anti-join. The input is materialized once, since it
+    * is read twice (signatures, then the kept rows): otherwise every upstream
+    * OP runs twice per row.
     */
   def lsh(df: DataFrame, hashCol: String, bands: Int,
           bucketKey: (Column, Column) => Column, similar: (Column, Column) => Column): DataFrame = {
@@ -181,7 +185,10 @@ private[core] object OpUtil {
       .join(sigs.withColumnRenamed(Schema.Id, "dst").withColumnRenamed("sig", "sigB"), "dst")
       .filter(similar(col("sigA"), col("sigB")))
       .select("src", "dst")
-    val losers = ConnectedComponents.run(verified).filter(col("comp") =!= col("id")).select(col("id"))
-    staged.drop(hashCol).join(losers, Seq(Schema.Id), "left_anti")
+      .collect().map(r => r.getLong(0) -> r.getLong(1))
+    val dropped = ConnectedComponents.run(verified).collect { case (id, comp) if id != comp => id }
+    val session = df.sparkSession
+    import session.implicits._
+    staged.drop(hashCol).join(F.broadcast(dropped.toSeq.toDF(Schema.Id)), Seq(Schema.Id), "left_anti")
   }
 }

@@ -10,7 +10,7 @@ import repro.core._
   * "node" over sharded input, executing the *row-level* forms of exactly the
   * same OP objects the Spark pipeline runs, through the same row function.
   *
-  * Two executors reproduce the two observed scaling behaviours:
+  * Two executors reproduce the two scaling behaviours the paper reports:
   *  - [[RayLikeExecutor]]: loading AND processing are shard-parallel across
   *    nodes → near-linear scaling;
   *  - [[BeamLikeExecutor]]: the source/Read stage is serialized at a single

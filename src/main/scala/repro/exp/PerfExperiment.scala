@@ -14,7 +14,7 @@ import repro.dist.DistExecutor
   *  - wall-clock processing time (steady-state: min of two runs, after JIT
   *    warm-up — we compare system designs, not first-run compilation);
   *  - peak resident dataset bytes (analytic model: the baseline materializes
-  *    the full corpus at once — the paper observed exactly this of the
+  *    the full corpus at once — the paper reports exactly this of the
   *    RedPajama scripts — while the pipeline streams one partition per core);
   *  - implied CPU-seconds (threads × wall time; the baseline is 1-threaded).
   */

@@ -9,7 +9,7 @@ import repro.dist.DistExecutor.{BeamLikeExecutor, RayLikeExecutor}
 /** Scalability across nodes (paper Sec. 8.2.3 / Fig. 10): the same OP
   * pipeline on the Ray-like executor (shard-parallel load + process) versus
   * the Beam-like executor (serialized source read), over 1–8 simulated
-  * nodes. The paper's observed shape: Ray scales near-linearly; Beam stays
+  * nodes. The paper's measured shape: Ray scales near-linearly; Beam stays
   * nearly flat because file loading dominates.
   */
 object ScalabilityExperiment {

@@ -65,7 +65,7 @@ object QualityClassifier {
     * intercept alone, in the order `LogisticRegressionModel` computes its
     * probability, so it is the same double. A task that closed over the model
     * would carry its training summary and, through it, the SparkSession,
-    * which cannot be serialized once the session has run a `Dataset.observe`.
+    * which a task must not carry.
     */
   def score(model: Model, df: DataFrame): DataFrame = {
     val w = model.lr.coefficients.toArray

@@ -100,16 +100,6 @@ class CacheSpec extends SparkSpec with TestData {
     assert(SpaceModel.cacheMode(ops, datasetBytes = 100L) == (1 + 1 + 1 + 1 + 1) * 100L)
   }
 
-  test("space model: checkpoint mode peak is 3×S") {
-    assert(SpaceModel.checkpointMode(7L) == 21L)
-  }
-
-  test("space model picks a policy that fits the disk") {
-    assert(SpaceModel.choosePolicy(ops, datasetBytes = 10L, availableBytes = 1000L) == CacheManager.ModeCache)
-    assert(SpaceModel.choosePolicy(ops, datasetBytes = 10L, availableBytes = 40L) == CacheManager.ModeCheckpoint)
-    assert(SpaceModel.choosePolicy(ops, datasetBytes = 10L, availableBytes = 20L) == "none")
-  }
-
   test("op signatures are stable and parameter-sensitive") {
     assert(Filters.TextLengthFilter(5, 10).signature == Filters.TextLengthFilter(5, 10).signature)
     assert(Filters.TextLengthFilter(5, 10).signature != Filters.TextLengthFilter(6, 10).signature)
