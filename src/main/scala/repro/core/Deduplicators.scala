@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.util.hashing.MurmurHash3
 
@@ -167,9 +166,7 @@ object Deduplicators {
         .select(col(Schema.Id), posexplode(split(col(Schema.Text))))
         .toDF(Schema.Id, "__idx", "__para")
         .withColumn("__ph", ph(col("__para")))
-      val w = Window.partitionBy(col("__ph")).orderBy(col(Schema.Id), col("__idx"))
-      val kept = exploded.withColumn("__rn", row_number().over(w)).filter(col("__rn") === 1)
-      val reassembled = kept
+      val reassembled = OpUtil.keepFirstBy(exploded, "__ph", col("__idx"))
         .groupBy(Schema.Id)
         .agg(concat_ws("\n\n", array_sort(collect_list(struct(col("__idx"), col("__para"))))
           .getField("__para")) as "__text")
@@ -207,13 +204,11 @@ object Deduplicators {
     }
 
     def process(df: DataFrame): DataFrame = {
-      val bandKey = udf { (sig: Seq[Long], band: Int) =>
-        MurmurHash3.arrayHash(sig.slice(band * rows, (band + 1) * rows).toArray, seed)
-      }
+      val bandKeys = udf((sig: Seq[Long]) => sig.grouped(rows).map(g => MurmurHash3.arrayHash(g.toArray, seed)).toSeq)
       val estJaccard = udf { (a: Seq[Long], b: Seq[Long]) =>
         a.iterator.zip(b.iterator).count { case (x, y) => x == y }.toDouble / a.size
       }
-      OpUtil.lsh(df, HashCol, bands, bandKey(_, _), (a, b) => estJaccard(a, b) >= jaccard)
+      OpUtil.lsh(df, HashCol, bandKeys(_), (a, b) => estJaccard(a, b) >= jaccard)
     }
   }
 
@@ -233,9 +228,9 @@ object Deduplicators {
     }
 
     def process(df: DataFrame): DataFrame = {
-      val blockOf = udf { (sig: Long, block: Int) => (sig >>> (block * BlockBits)) & 0xffffL }
+      val blockKeys = udf((sig: Long) => Seq.tabulate(Blocks)(b => (sig >>> (b * BlockBits)) & 0xffffL))
       val ham = udf((a: Long, b: Long) => Hashing.hamming(a, b))
-      OpUtil.lsh(df, HashCol, Blocks, blockOf(_, _), (a, b) => ham(a, b) <= hammingMax)
+      OpUtil.lsh(df, HashCol, blockKeys(_), (a, b) => ham(a, b) <= hammingMax)
     }
   }
 

@@ -25,7 +25,7 @@ object WordLists {
   * stats, meta-info, model scores, external resources). Each filter writes
   * its statistics into the `stats` map (decoupled `compute_stats`) and keeps
   * samples via a threshold predicate (`keepRow`); every stats Filter here
-  * is a [[StatFilter]] over one key.
+  * is a [[StatFilter]]: one key and one closed range of kept values.
   */
 object Filters {
   import WordLists._
@@ -61,79 +61,72 @@ object Filters {
   }
 
   /** Keep samples whose character length lies in [minLen, maxLen]. */
-  final case class TextLengthFilter(minLen: Int = 10, maxLen: Int = 1000000) extends StatFilter("text_len", Set.empty) {
+  final case class TextLengthFilter(minLen: Int = 10, maxLen: Int = 1000000) extends StatFilter("text_len", Set.empty, minLen, maxLen) {
     val name = "text_length_filter"
     def stat(ctx: TextContext) = ctx.length.toDouble
-    def keep(v: Double) = v >= minLen && v <= maxLen
   }
 
   /** Keep samples whose word count lies in [minWords, maxWords]. */
-  final case class WordCountFilter(minWords: Int = 5, maxWords: Int = 1000000) extends StatFilter("num_words", Set(ContextKey.Words)) {
+  final case class WordCountFilter(minWords: Int = 5, maxWords: Int = 1000000)
+      extends StatFilter("num_words", Set(ContextKey.Words), minWords, maxWords) {
     val name = "word_count_filter"
     def stat(ctx: TextContext) = ctx.words.length.toDouble
-    def keep(v: Double) = v >= minWords && v <= maxWords
   }
 
   /** Keep samples whose mean word length lies in [min, max] — catches both
     * char-soup (huge) and single-letter debris (tiny).
     */
   final case class AvgWordLengthFilter(min: Double = 2.0, max: Double = 12.0)
-      extends StatFilter("avg_word_len", Set(ContextKey.Words)) {
+      extends StatFilter("avg_word_len", Set(ContextKey.Words), min, max) {
     val name = "avg_word_length_filter"
     def stat(ctx: TextContext) = {
       val w = ctx.words
       ratio(w.map(_.length.toDouble).sum, w.length.toDouble)
     }
-    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples with a line count in [min, max]. */
-  final case class LinesCountFilter(min: Int = 1, max: Int = 100000) extends StatFilter("num_lines", Set(ContextKey.Lines)) {
+  final case class LinesCountFilter(min: Int = 1, max: Int = 100000) extends StatFilter("num_lines", Set(ContextKey.Lines), min, max) {
     val name = "lines_count_filter"
     def stat(ctx: TextContext) = ctx.lines.length.toDouble
-    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose longest line is within [min, max] chars (minified
     * JS / base64 blobs have enormous single lines).
     */
-  final case class MaxLineLengthFilter(min: Int = 0, max: Int = 5000) extends StatFilter("max_line_len", Set(ContextKey.Lines)) {
+  final case class MaxLineLengthFilter(min: Int = 0, max: Int = 5000) extends StatFilter("max_line_len", Set(ContextKey.Lines), min, max) {
     val name = "max_line_length_filter"
     def stat(ctx: TextContext) = (if (ctx.lines.isEmpty) 0 else ctx.lines.map(_.length).max).toDouble
-    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose mean line length is within [min, max] chars. */
   final case class AvgLineLengthFilter(min: Double = 5.0, max: Double = 2000.0)
-      extends StatFilter("avg_line_len", Set(ContextKey.Lines)) {
+      extends StatFilter("avg_line_len", Set(ContextKey.Lines), min, max) {
     val name = "avg_line_length_filter"
     def stat(ctx: TextContext) = {
       val ls = ctx.lines.filter(_.nonEmpty)
       ratio(ls.map(_.length.toDouble).sum, ls.length.toDouble)
     }
-    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose alphanumeric-character ratio is at least `min`. */
-  final case class AlphanumericRatioFilter(min: Double = 0.6) extends StatFilter("alnum_ratio", Set(ContextKey.Chars)) {
+  final case class AlphanumericRatioFilter(min: Double = 0.6) extends StatFilter("alnum_ratio", Set(ContextKey.Chars), lo = min) {
     val name = "alphanumeric_ratio_filter"
     def stat(ctx: TextContext) = ratio(ctx.alnumChars.toDouble, ctx.nonSpaceChars.toDouble)
-    def keep(v: Double) = v >= min
   }
 
   /** Keep samples whose whitespace ratio is at most `max` (ascii-art, layout
     * debris).
     */
-  final case class WhitespaceRatioFilter(max: Double = 0.5) extends StatFilter("space_ratio", Set(ContextKey.Chars)) {
+  final case class WhitespaceRatioFilter(max: Double = 0.5) extends StatFilter("space_ratio", Set(ContextKey.Chars), hi = max) {
     val name = "whitespace_ratio_filter"
     def stat(ctx: TextContext) = ratio((ctx.length - ctx.nonSpaceChars).toDouble, ctx.length.toDouble)
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose special-character (non-alnum, non-space, non-basic-
     * punctuation) ratio is at most `max`.
     */
-  final case class SpecialCharRatioFilter(max: Double = 0.25) extends StatFilter("special_ratio", Set(ContextKey.Chars)) {
+  final case class SpecialCharRatioFilter(max: Double = 0.25) extends StatFilter("special_ratio", Set(ContextKey.Chars), hi = max) {
     val name = "special_char_ratio_filter"
     private val basicPunct = ".,;:!?'\"()-\n\t "
     def stat(ctx: TextContext) = {
@@ -147,13 +140,13 @@ object Filters {
       }
       ratio(special.toDouble, t.length.toDouble)
     }
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose most frequent character n-gram covers at most `max`
     * of all character n-grams (catches `aaaaaa…` / repeated banners).
     */
-  final case class CharRepetitionFilter(n: Int = 10, max: Double = 0.2) extends StatFilter("char_rep_ratio", Set(ContextKey.Chars)) {
+  final case class CharRepetitionFilter(n: Int = 10, max: Double = 0.2)
+      extends StatFilter("char_rep_ratio", Set(ContextKey.Chars), hi = max) {
     val name = "char_repetition_filter"
     def stat(ctx: TextContext) = {
       val t = ctx.text
@@ -174,13 +167,13 @@ object Filters {
         ratio(counts.max.toDouble, grams.toDouble)
       }
     }
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose duplicated word n-grams cover at most `max` of all
     * word n-grams (the classic "dup 5-gram fraction" web filter).
     */
-  final case class WordRepetitionFilter(n: Int = 5, max: Double = 0.3) extends StatFilter("word_rep_ratio", Set(ContextKey.Words)) {
+  final case class WordRepetitionFilter(n: Int = 5, max: Double = 0.3)
+      extends StatFilter("word_rep_ratio", Set(ContextKey.Words), hi = max) {
     val name = "word_repetition_filter"
     def stat(ctx: TextContext) = {
       val w = ctx.words
@@ -197,23 +190,20 @@ object Filters {
         ratio(dup.toDouble, grams.toDouble)
       }
     }
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose stopword ratio is at least `min` — natural prose has
     * plenty; token soup does not (external-resource-backed filter).
     */
-  final case class StopwordRatioFilter(min: Double = 0.1) extends StatFilter("stopword_ratio", Set(ContextKey.Words)) {
+  final case class StopwordRatioFilter(min: Double = 0.1) extends StatFilter("stopword_ratio", Set(ContextKey.Words), lo = min) {
     val name = "stopword_ratio_filter"
     def stat(ctx: TextContext) = ratio(ctx.words.count(stopwords.contains).toDouble, ctx.words.length.toDouble)
-    def keep(v: Double) = v >= min
   }
 
   /** Keep samples whose flagged-word ratio is at most `max` (detoxification). */
-  final case class FlaggedWordsFilter(max: Double = 0.01) extends StatFilter("flagged_ratio", Set(ContextKey.Words)) {
+  final case class FlaggedWordsFilter(max: Double = 0.01) extends StatFilter("flagged_ratio", Set(ContextKey.Words), hi = max) {
     val name = "flagged_words_filter"
     def stat(ctx: TextContext) = ratio(ctx.words.count(flagged.contains).toDouble, ctx.words.length.toDouble)
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples that look like the target language. Heuristic language-ID
@@ -221,7 +211,7 @@ object Filters {
     * stopword bonus; for "zh", the CJK character ratio.
     */
   final case class LanguageScoreFilter(lang: String = "en", min: Double = 0.5)
-      extends StatFilter("lang_score", Set(ContextKey.Words)) {
+      extends StatFilter("lang_score", Set(ContextKey.Words), lo = min) {
     val name = "language_score_filter"
     def stat(ctx: TextContext) = lang match {
       case "zh" =>
@@ -232,7 +222,6 @@ object Filters {
         val stop  = w.count(stopwords.contains)
         0.7 * ratio(alpha.toDouble, w.length.toDouble) + 0.3 * math.min(1.0, 4.0 * ratio(stop.toDouble, w.length.toDouble))
     }
-    def keep(v: Double) = v >= min
   }
 
   /** Keep samples whose unigram perplexity under a reference language model
@@ -244,7 +233,7 @@ object Filters {
       maxPpl: Double = 1500.0,
       refLogP: Map[String, Double] = PerplexityFilter.defaultRef,
       oovLogP: Double = math.log(1e-6),
-  ) extends StatFilter("perplexity", Set(ContextKey.Words)) {
+  ) extends StatFilter("perplexity", Set(ContextKey.Words), hi = maxPpl) {
     val name = "perplexity_filter"
     override val cost = 2
     /** The reference table enters the key as its size and an order-independent
@@ -260,7 +249,6 @@ object Filters {
         math.min(1e9, math.exp(-sum / w.length))
       }
     }
-    def keep(v: Double) = v <= maxPpl
   }
   object PerplexityFilter {
     /** SHA-256 prefix of the table's entries in key order. */
@@ -283,7 +271,8 @@ object Filters {
   /** Keep samples whose word-distribution Shannon entropy (bits) lies in
     * [min, max] — low = repeated banner, high = uniform random soup.
     */
-  final case class WordEntropyFilter(min: Double = 1.5, max: Double = 12.0) extends StatFilter("word_entropy", Set(ContextKey.Words)) {
+  final case class WordEntropyFilter(min: Double = 1.5, max: Double = 12.0)
+      extends StatFilter("word_entropy", Set(ContextKey.Words), min, max) {
     val name = "word_entropy_filter"
     def stat(ctx: TextContext) = {
       val w = ctx.words
@@ -295,40 +284,37 @@ object Filters {
         }.sum
       }
     }
-    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples where at most `max` of non-empty lines are duplicates of an
     * earlier line in the same sample.
     */
-  final case class DuplicateLineRatioFilter(max: Double = 0.3) extends StatFilter("dup_line_ratio", Set(ContextKey.Lines)) {
+  final case class DuplicateLineRatioFilter(max: Double = 0.3) extends StatFilter("dup_line_ratio", Set(ContextKey.Lines), hi = max) {
     val name = "duplicate_line_ratio_filter"
     def stat(ctx: TextContext) = {
-      val ls = ctx.lines.map(_.trim).filter(_.nonEmpty)
+      val ls = ctx.trimmedLines
       ratio((ls.length - ls.distinct.length).toDouble, ls.length.toDouble)
     }
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples where at most `max` of paragraphs are duplicates within the
     * sample.
     */
-  final case class DuplicateParagraphRatioFilter(max: Double = 0.3) extends StatFilter("dup_para_ratio", Set(ContextKey.Paragraphs)) {
+  final case class DuplicateParagraphRatioFilter(max: Double = 0.3)
+      extends StatFilter("dup_para_ratio", Set(ContextKey.Paragraphs), hi = max) {
     val name = "duplicate_paragraph_ratio_filter"
     def stat(ctx: TextContext) = {
       val ps = ctx.paragraphs
       ratio((ps.length - ps.distinct.length).toDouble, ps.length.toDouble)
     }
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose digit-character ratio is at most `max` (tables, logs,
     * serial-number dumps).
     */
-  final case class NumericRatioFilter(max: Double = 0.3) extends StatFilter("numeric_ratio", Set(ContextKey.Chars)) {
+  final case class NumericRatioFilter(max: Double = 0.3) extends StatFilter("numeric_ratio", Set(ContextKey.Chars), hi = max) {
     val name = "numeric_ratio_filter"
     def stat(ctx: TextContext) = ratio(ctx.text.count(Character.isDigit).toDouble, ctx.nonSpaceChars.toDouble)
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples whose token count, under a selectable tokenizer
@@ -336,48 +322,44 @@ object Filters {
     * tokens" knob. The standard tokenizer reads the shared Words context.
     */
   final case class TokenCountFilter(min: Int = 5, max: Int = 1000000, tokenizer: String = "standard")
-      extends StatFilter("num_tokens", Set(ContextKey.Words)) {
+      extends StatFilter("num_tokens", Set(ContextKey.Words), min, max) {
     val name = "token_count_filter"
     private val tokenize = Tokenizers.byName(tokenizer)
     private val shared = tokenizer == "standard"
     def stat(ctx: TextContext) = (if (shared) ctx.words else tokenize(ctx.text)).length.toDouble
-    def keep(v: Double) = v >= min && v <= max
   }
 
   /** Keep samples whose symbol-to-word ratio (#, …, * vs words) is at most
     * `max` — markdown/forum debris.
     */
-  final case class SymbolToWordRatioFilter(max: Double = 0.4) extends StatFilter("symbol_word_ratio", Set(ContextKey.Words)) {
+  final case class SymbolToWordRatioFilter(max: Double = 0.4) extends StatFilter("symbol_word_ratio", Set(ContextKey.Words), hi = max) {
     val name = "symbol_to_word_ratio_filter"
     private val symbols = Set('#', '*', '~', '^', '|')
     def stat(ctx: TextContext) = {
       val sym = ctx.text.count(symbols.contains) + "\\.\\.\\.".r.findAllIn(ctx.text).length
       ratio(sym.toDouble, math.max(1, ctx.words.length).toDouble)
     }
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples where at most `max` of lines end with an ellipsis
     * (truncated-teaser listicles).
     */
-  final case class EllipsisLineRatioFilter(max: Double = 0.3) extends StatFilter("ellipsis_line_ratio", Set(ContextKey.Lines)) {
+  final case class EllipsisLineRatioFilter(max: Double = 0.3) extends StatFilter("ellipsis_line_ratio", Set(ContextKey.Lines), hi = max) {
     val name = "ellipsis_line_ratio_filter"
     def stat(ctx: TextContext) = {
-      val ls = ctx.lines.map(_.trim).filter(_.nonEmpty)
+      val ls = ctx.trimmedLines
       ratio(ls.count(l => l.endsWith("...") || l.endsWith("…")).toDouble, ls.length.toDouble)
     }
-    def keep(v: Double) = v <= max
   }
 
   /** Keep samples where at most `max` of lines start with a bullet marker. */
-  final case class BulletLineRatioFilter(max: Double = 0.9) extends StatFilter("bullet_line_ratio", Set(ContextKey.Lines)) {
+  final case class BulletLineRatioFilter(max: Double = 0.9) extends StatFilter("bullet_line_ratio", Set(ContextKey.Lines), hi = max) {
     val name = "bullet_line_ratio_filter"
     private val bullets = Seq("-", "*", "•", "‣", "▪")
     def stat(ctx: TextContext) = {
-      val ls = ctx.lines.map(_.trim).filter(_.nonEmpty)
+      val ls = ctx.trimmedLines
       ratio(ls.count(l => bullets.exists(l.startsWith)).toDouble, ls.length.toDouble)
     }
-    def keep(v: Double) = v <= max
   }
 
   // ---- meta-based filters (paper: "filter by meta-info", "GitHub star counts") ----

@@ -91,19 +91,19 @@ trait Filter extends RowOp {
 }
 
 /** A [[Filter]] over one stats value: it writes `stat` under `key` and keeps
-  * a sample if `keep` holds for that value, so the key is named once.
+  * a sample whose value lies in the closed range `[lo, hi]`, so the key and
+  * the keep rule are stated once. An omitted bound is open (±Infinity); NaN
+  * is never kept.
   */
-abstract class StatFilter(key: String, val contexts: Set[ContextKey.Value]) extends Filter {
+abstract class StatFilter(key: String, val contexts: Set[ContextKey.Value],
+                          lo: Double = Double.NegativeInfinity, hi: Double = Double.PositiveInfinity) extends Filter {
   final val statsKeys: Seq[String] = Seq(key)
 
   /** The sample's value of this filter's stats key. */
   def stat(ctx: TextContext): Double
 
-  /** Whether a sample whose stats value is `v` stays. */
-  def keep(v: Double): Boolean
-
   final def computeStatsRow(ctx: TextContext): Map[String, Double] = Map(key -> stat(ctx))
-  final def keepRow(stats: Map[String, Double]): Boolean = keep(stats(key))
+  final def keepRow(stats: Map[String, Double]): Boolean = { val v = stats(key); v >= lo && v <= hi }
 }
 
 /** Filters whose decision depends on `meta`, not text stats (e.g. language
@@ -148,35 +148,36 @@ object OpCategory {
 /** Utilities shared by OP implementations. */
 private[core] object OpUtil {
   /** Deterministic keep-first: one row per `groupCol` value, the one with the
-    * minimal `id` (stable across runs for a fixed input).
+    * minimal `id`, ties broken by the minimal `tieBreak` columns in order
+    * (stable across runs for a fixed input).
     */
-  def keepFirstBy(df: DataFrame, groupCol: String): DataFrame = {
-    val w = Window.partitionBy(col(groupCol)).orderBy(col(Schema.Id))
+  def keepFirstBy(df: DataFrame, groupCol: String, tieBreak: Column*): DataFrame = {
+    val w = Window.partitionBy(col(groupCol)).orderBy(col(Schema.Id) +: tieBreak: _*)
     df.withColumn("__dj_rn", F.row_number().over(w))
       .filter(col("__dj_rn") === 1)
       .drop("__dj_rn")
   }
 
   /** The LSH skeleton of the near-duplicate Deduplicators over signatures in
-    * `hashCol`: each signature goes into one bucket per band
-    * (`bucketKey(sig, band)`), each member of a bucket pairs with the bucket's
+    * `hashCol`: `bucketKeys(sig)` cuts a signature into its array of band
+    * keys once, the signature goes into one bucket per band (its position in
+    * that array) and key, each member of a bucket pairs with the bucket's
     * minimum id (star pairs are linear in bucket size, so no bucket is
     * dropped), a pair whose signatures are `similar` is an edge, and each
     * connected component keeps its minimum id. The verified edges are
     * collected once and clustered on the driver by [[ConnectedComponents]]:
     * a row pairs with at most one minimum per band, so the driver holds at
-    * most `bands` edges, two longs each, per input row. The dropped ids go
-    * back as a broadcast anti-join. The input is materialized once, since it
-    * is read twice (signatures, then the kept rows): otherwise every upstream
-    * OP runs twice per row.
+    * most one edge per band, two longs each, per input row. The dropped ids
+    * go back as a broadcast anti-join. The input is materialized once, since
+    * it is read twice (signatures, then the kept rows): otherwise every
+    * upstream OP runs twice per row.
     */
-  def lsh(df: DataFrame, hashCol: String, bands: Int,
-          bucketKey: (Column, Column) => Column, similar: (Column, Column) => Column): DataFrame = {
+  def lsh(df: DataFrame, hashCol: String,
+          bucketKeys: Column => Column, similar: (Column, Column) => Column): DataFrame = {
     val staged = df.localCheckpoint(true)
     val sigs = staged.select(col(Schema.Id), col(hashCol).as("sig"))
     val candidates = sigs
-      .withColumn("band", F.explode(F.lit((0 until bands).toArray)))
-      .withColumn("bkey", bucketKey(col("sig"), col("band")))
+      .select(col(Schema.Id), F.posexplode(bucketKeys(col("sig"))).as(Seq("band", "bkey")))
       .select(F.min(col(Schema.Id)).over(Window.partitionBy("band", "bkey")) as "src", col(Schema.Id) as "dst")
       .filter(col("src") =!= col("dst"))
       .distinct()

@@ -18,7 +18,7 @@ object OpFusion {
   /** Optimize an OP list: `reorder` sorts each commutative run of Filters
     * and MetaFilters by ascending cost (stable).
     */
-  def plan(ops: Seq[Op], reorder: Boolean = true): Seq[Op] = {
+  def plan(ops: Seq[Op], reorder: Boolean): Seq[Op] = {
     val out = scala.collection.mutable.ArrayBuffer.empty[Op]
     val run = scala.collection.mutable.ArrayBuffer.empty[Op]
     def flush(): Unit = {

@@ -14,6 +14,8 @@ package repro.core
 final class TextContext(val text: String) {
   lazy val words: Array[String] = Tokenizers.words(text)
   lazy val lines: Array[String] = if (text == null) Array.empty else text.split("\n", -1)
+  /** The lines, trimmed, without the ones left empty. */
+  lazy val trimmedLines: Array[String] = lines.map(_.trim).filter(_.nonEmpty)
   lazy val paragraphs: Array[String] =
     if (text == null) Array.empty
     else text.split("\n\\s*\n").map(_.trim).filter(_.nonEmpty)

@@ -83,7 +83,7 @@ object TextGen {
     * occupy 2 of every 5 candidate slots so natural text keeps a realistic
     * stopword ratio.
     */
-  def candidates(w1: String, w2: String): Array[String] = {
+  def candidates(@scala.annotation.unused w1: String, w2: String): Array[String] = {
     val base = h("en", w2)
     Array.tabulate(3) { i =>
       val hv = h("en", w2, i.toString)
@@ -301,7 +301,7 @@ object TextGen {
   }
 
   /** Generate one doc of `kind`. */
-  def genDoc(kind: String, seed: Long, docWords: Int, r: java.util.Random): String = kind match {
+  def genDoc(kind: String, seed: Long, docWords: Int, @scala.annotation.unused r: java.util.Random): String = kind match {
     case "clean"       => cleanText(seed, docWords)
     case "boilerplate" => boilerplate(math.floorMod(seed, 10L).toInt)
     case "gibberish"   => gibberish(seed, docWords)

@@ -36,7 +36,7 @@ object ScalabilityExperiment {
     Filters.WordRepetitionFilter(5, 0.3), Deduplicators.ExactDocDeduplicator(),
   )
 
-  def run(spark: SparkSession, nDocs: Int = 4000, nodeCounts: Seq[Int] = Seq(1, 2, 4, 8)): Result = {
+  def run(@scala.annotation.unused spark: SparkSession, nDocs: Int = 4000, nodeCounts: Seq[Int] = Seq(1, 2, 4, 8)): Result = {
     // Materialize the serialized dataset once on the driver (the "NAS files").
     val r = new java.util.Random(5150L)
     val docs = (0 until nDocs).map { i =>

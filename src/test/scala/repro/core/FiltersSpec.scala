@@ -181,6 +181,41 @@ class FiltersSpec extends SparkSpec with TestData {
     assert(!f.keepMeta(Map.empty))
   }
 
+  /** Each registry stats Filter's kept range at its default parameters; an
+    * open side is ±Infinity.
+    */
+  private val defaultRanges: Map[String, (Double, Double)] = {
+    val (ninf, inf) = (Double.NegativeInfinity, Double.PositiveInfinity)
+    Map(
+      "text_length_filter" -> (10.0, 1e6), "word_count_filter" -> (5.0, 1e6),
+      "avg_word_length_filter" -> (2.0, 12.0), "lines_count_filter" -> (1.0, 1e5),
+      "max_line_length_filter" -> (0.0, 5000.0), "avg_line_length_filter" -> (5.0, 2000.0),
+      "alphanumeric_ratio_filter" -> (0.6, inf), "whitespace_ratio_filter" -> (ninf, 0.5),
+      "special_char_ratio_filter" -> (ninf, 0.25), "char_repetition_filter" -> (ninf, 0.2),
+      "word_repetition_filter" -> (ninf, 0.3), "stopword_ratio_filter" -> (0.1, inf),
+      "flagged_words_filter" -> (ninf, 0.01), "language_score_filter" -> (0.5, inf),
+      "perplexity_filter" -> (ninf, 1500.0), "word_entropy_filter" -> (1.5, 12.0),
+      "duplicate_line_ratio_filter" -> (ninf, 0.3), "duplicate_paragraph_ratio_filter" -> (ninf, 0.3),
+      "numeric_ratio_filter" -> (ninf, 0.3), "token_count_filter" -> (5.0, 1e6),
+      "symbol_to_word_ratio_filter" -> (ninf, 0.4), "ellipsis_line_ratio_filter" -> (ninf, 0.3),
+      "bullet_line_ratio_filter" -> (ninf, 0.9),
+    )
+  }
+
+  test("each registry stats Filter at its defaults keeps exactly its closed range, and never NaN") {
+    val fs = OpRegistry.specs.keys.toSeq.sorted.map(OpRegistry.build(_, Map.empty)).collect { case f: Filter => f }
+    assert(fs.map(_.name).toSet == defaultRanges.keySet)
+    for (f <- fs) {
+      val (lo, hi) = defaultRanges(f.name)
+      val clue = s"${f.name} on [$lo, $hi]"
+      assert(f.statsKeys.size == 1, clue)
+      def keeps(v: Double) = f.keepRow(Map(f.statsKeys.head -> v))
+      assert(keeps(lo) && keeps(hi) && !keeps(Double.NaN), clue)
+      if (!lo.isInfinite) assert(!keeps(Math.nextDown(lo)), clue)
+      if (!hi.isInfinite) assert(!keeps(Math.nextUp(hi)), clue)
+    }
+  }
+
   test("filter names unique, stats keys unique, snake_case") {
     val fs = Filters.allStats
     assert(fs.map(_.name).distinct.size == fs.size)

@@ -23,6 +23,27 @@ class RecipeSpec extends SparkSpec with TestData {
     }
   }
 
+  test("a registry spec built without parameters equals its case class's default instance") {
+    // The instance the case class's constructor defaults build, if every
+    // constructor parameter has one (the companion's `<init>$default$i`).
+    def defaultOf(op: Op): Option[Op] = {
+      val ctor = op.getClass.getConstructors.head
+      val companion = Class.forName(op.getClass.getName + "$")
+      val module = companion.getField("MODULE$").get(null)
+      val defaults = (1 to ctor.getParameterCount).map(i =>
+        companion.getMethods.find(_.getName == s"$$lessinit$$greater$$default$$$i").map(_.invoke(module)))
+      Option.when(defaults.forall(_.isDefined))(ctor.newInstance(defaults.flatten: _*).asInstanceOf[Op])
+    }
+    val noDefaults = OpRegistry.specs.keys.toSeq.sorted.filter { name =>
+      val op = OpRegistry.build(name, Map.empty)
+      val default = defaultOf(op)
+      default.foreach(d => assert(op == d, name))
+      default.isEmpty
+    }
+    assert(noDefaults.toSet ==
+      Set("jsonl_formatter", "csv_formatter", "text_formatter", "parquet_formatter", "meta_field_filter"))
+  }
+
   test("registry categories cover the four OP classes") {
     val cats = OpRegistry.specs.values.map(_.category).toSet
     assert(cats == Set[OpCategory](OpCategory.Formatter, OpCategory.Mapper, OpCategory.Filter, OpCategory.Deduplicator))
