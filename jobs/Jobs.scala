@@ -68,8 +68,10 @@ object ProcessRecipe {
     require(args.length >= 3, "usage: ProcessRecipe <recipe.yaml> <in.jsonl> <out.parquet> [op.param=value …]")
     val recipe = repro.core.Recipe.fromFile(args(0)).withOverrides(args.drop(3).toSeq)
     val input  = repro.core.Formatters.JsonlFormatter(args(1)).load(spark)
-    recipe.pipeline(fuse = true, reorder = true).run(input).write.mode("overwrite").parquet(args(2))
-    val n = spark.read.parquet(args(2)).count()
+    val out    = recipe.pipeline(fuse = true, reorder = true).run(input)
+    out.write.mode("overwrite").parquet(args(2))
+    // Read with the written frame's schema: inferring it would cost a job.
+    val n = spark.read.schema(out.schema).parquet(args(2)).count()
     println(s"wrote $n samples to ${args(2)}")
     n
   }

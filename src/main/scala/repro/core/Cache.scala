@@ -4,7 +4,11 @@ import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Path, Paths}
 import java.security.MessageDigest
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import scala.util.Try
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.io.LocalInputFile
+import org.apache.spark.sql.types.{DataType, StructType}
+import scala.jdk.CollectionConverters._
+import scala.util.{Try, Using}
 
 /** Cache / checkpoint management (paper Sec. 5.1.1 & 7, Appendix A.2).
   *
@@ -55,18 +59,32 @@ final class CacheManager(
     */
   private def runs: Path = Paths.get(dir, "_runs")
 
+  /** The parquet data directory `data`, which one Spark write made, read
+    * with the schema stored in its footers. The schema comes from one part
+    * file's footer (each holds the same), read on the driver, so no Spark
+    * job infers it.
+    */
+  private def read(data: Path): DataFrame = {
+    val part = Using.resource(Files.list(data))(_.iterator.asScala.map(_.getFileName.toString)
+      .filter(f => f.startsWith("part-") && f.endsWith(".parquet")).min)
+    val footer = Using.resource(ParquetFileReader.open(new LocalInputFile(data.resolve(part))))(_.getFileMetaData)
+    val schema = DataType.fromJson(footer.getKeyValueMetaData.get(CacheManager.RowMetadataKey)).asInstanceOf[StructType]
+    spark.read.schema(schema).parquet(data.toString)
+  }
+
   def has(key: String): Boolean = Files.exists(path(key).resolve("_SUCCESS"))
 
-  /** The entry under `key`. An entry that a row run wrote is a reference
-    * to the run's versions ([[saveRun]]): the versions valid at its stage,
-    * with only the stats keys added by then.
+  /** The entry under `key`, read with its stored schema ([[read]]).
+    * An entry that a row run wrote is a reference to the run's versions
+    * ([[saveRun]]): the versions valid at its stage, with only the stats
+    * keys added by then.
     */
   def load(key: String): DataFrame = {
     val ref = path(key).resolve(CacheManager.RefFile)
-    if (!Files.exists(ref)) spark.read.parquet(path(key).toString)
+    if (!Files.exists(ref)) read(path(key))
     else {
       val Array(data, stage) = new String(Files.readAllBytes(ref), UTF_8).split("\t")
-      RowStage.at(spark.read.parquet(runs.resolve(data).toString), stage.toInt)
+      RowStage.at(read(runs.resolve(data)), stage.toInt)
     }
   }
 
@@ -141,6 +159,11 @@ object CacheManager {
 
   /** File of an entry directory that points into a row run's data. */
   private val RefFile = "_ref"
+
+  /** The footer key under which Spark's parquet writer stores the written
+    * frame's schema as JSON.
+    */
+  private val RowMetadataKey = "org.apache.spark.sql.parquet.row.metadata"
 }
 
 /** Closed-form space-usage model from Appendix A.2. Whoever builds the

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
 /** The Formatter pool: load heterogeneous sources and unify them into the
   * [[Schema]] representation (paper Sec. 4.1). Each formatter normalizes a
@@ -40,7 +41,13 @@ object Formatters {
   }
 
   /** JSON-lines loader: one JSON object per line; `textKey` holds the text,
-    * `metaKeys` are lifted into `meta`.
+    * `metaKeys` are lifted into `meta`. It reads only the declared keys, each
+    * as a string, so no Spark job infers a schema: a string value reads as
+    * itself, any other value as its JSON text as the file spells it (`5` →
+    * `"5"`, `{"a": 1}` → `"{"a": 1}"`), and an absent or null meta value
+    * adds no meta entry. A record without a text value, or a line that is
+    * not JSON, fails the first action that reads the text, naming the key
+    * and the file.
     */
   final case class JsonlFormatter(
       path: String,
@@ -48,8 +55,15 @@ object Formatters {
       metaKeys: Seq[String] = Nil,
   ) extends Formatter {
     val name = "jsonl_formatter"
-    def load(spark: SparkSession): DataFrame =
-      InMemoryFormatter(spark.read.json(path), textKey, metaKeys).load(spark)
+    def load(spark: SparkSession): DataFrame = {
+      val keys = (textKey +: metaKeys).distinct
+      val raw = spark.read.schema(StructType(keys.map(StructField(_, StringType)))).json(path)
+      val text = when(col(textKey).isNotNull, col(textKey)).otherwise(raise_error(
+        concat(lit(s"$name: no '$textKey' value (absent, null or not JSON) in a record of "), input_file_name())))
+      val unified = InMemoryFormatter(raw.withColumn(textKey, text), textKey, metaKeys).load(spark)
+      if (metaKeys.isEmpty) unified
+      else unified.withColumn(Schema.Meta, map_filter(col(Schema.Meta), (_, v) => v.isNotNull))
+    }
   }
 
   /** CSV loader with header; `textCol` holds the text. */

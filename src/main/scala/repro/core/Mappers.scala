@@ -20,7 +20,6 @@ object Mappers {
   private val ScriptRe = Pattern.compile("(?s)<(script|style)[^>]*>.*?</\\1>")
   private val TagRe = Pattern.compile("<[^>]{0,500}>")
   private val CharRefRe = Pattern.compile("&#\\d+;")
-  private val WordSplitRe = Pattern.compile("(?<= )|(?=\\s)")
   private val SpacesRe = Pattern.compile("[ ]{2,}")
 
   /** `c`, or a space if `c` is one of the unicode spaces that whitespace
@@ -176,10 +175,14 @@ object Mappers {
   }
 
   /** Drop words longer than `maxLen` (URLs-glued-together, base64 debris).
-    * The text splits before each whitespace character and after each
-    * space, and a token whose trimmed length exceeds `maxLen` is dropped
-    * with the tab or line break that leads it. Only text with a
-    * whitespace-free run longer than `maxLen` can lose a token.
+    * As in Data-Juicer, the text splits into lines at line breaks, each line
+    * into segments at tabs and each segment into words at spaces. A word
+    * with a whitespace-free run longer than `maxLen` is dropped, with the
+    * empty words around it, and a segment or line left with nothing but
+    * whitespace is dropped with its tab or line break, so the lines and tabs
+    * around a dropped word stay. Runs of spaces in the result collapse to
+    * one. Only text with a whitespace-free run longer than `maxLen` can
+    * lose a word.
     */
   final case class RemoveLongWordsMapper(maxLen: Int = 40) extends Mapper {
     val name = "remove_long_words_mapper"
@@ -192,12 +195,20 @@ object Mappers {
       }
       run > maxLen
     }
-    def mapText(text: String): String = {
+    /** `s`, which holds a long run, split at `seps.head`: a part without a
+      * long run stays as it is, except that an empty word goes, and a part
+      * with one is cut at the next separator, or goes if that leaves None.
+      * None if nothing but whitespace is left.
+      */
+    private def cut(s: String, seps: List[String]): Option[String] = {
+      val parts = s.split(seps.head, -1)
       val kept =
-        if (!hasLongRun(text)) text
-        else WordSplitRe.split(text).filter { tok =>
-          tok.isEmpty || tok.forall(Character.isWhitespace) || tok.trim.length <= maxLen
-        }.mkString("")
+        if (seps.tail.isEmpty) parts.filter(w => w.nonEmpty && !hasLongRun(w))
+        else parts.flatMap(p => if (hasLongRun(p)) cut(p, seps.tail) else Some(p))
+      Option.when(!kept.forall(_.isBlank))(kept.mkString(seps.head))
+    }
+    def mapText(text: String): String = {
+      val kept = if (!hasLongRun(text)) text else cut(text, List("\n", "\t", " ")).getOrElse("")
       if (kept.indexOf("  ") < 0) kept else SpacesRe.matcher(kept).replaceAll(" ")
     }
   }

@@ -281,6 +281,64 @@ class CacheSpec extends SparkSpec with TestData {
     assert(cm.entries.size + data.size == listed(cm).size)
   }
 
+  /** `key`'s entry as Spark's schema inference reads the same files. */
+  private def inferred(cm: CacheManager, key: String): DataFrame = {
+    val ref = cm.path(key).resolve("_ref")
+    if (!Files.exists(ref)) spark.read.parquet(cm.path(key).toString)
+    else {
+      val Array(data, stage) = Files.readString(ref).split("\t")
+      RowStage.at(spark.read.parquet(Paths.get(cm.dir, "_runs", data).toString), stage.toInt)
+    }
+  }
+
+  /** `cm.load(key)` starts no Spark job, and reads what inference reads. */
+  private def assertLoadsAsInferred(cm: CacheManager, key: String, what: String): Unit = {
+    val (jobs, loaded) = countJobs(cm.load(key))
+    assert(jobs == 0, s"$what: load started $jobs Spark jobs")
+    val expected = inferred(cm, key)
+    assert(loaded.schema == expected.schema, s"$what: ${loaded.schema.simpleString} vs ${expected.schema.simpleString}")
+    def all(df: DataFrame) = df.collect().map(_.toSeq).sortBy(_.head.asInstanceOf[Long]).toSeq
+    assert(all(loaded) == all(expected), what)
+  }
+
+  test("load reads every kind of entry with its footer's schema: no Spark job, as inference reads it") {
+    val df = docsWithMeta(rowDocs.zipWithIndex.map { case (t, i) => (t, Map("k" -> i.toString)) }: _*)
+    val plain = newManager()
+    plain.save(df, "plain", None)
+    assertLoadsAsInferred(plain, "plain", "a saved entry")
+    val cm = newManager()
+    val pipe = Pipeline(chainOps, cache = Some(cm))
+    pipe.run(df).count()
+    val keys = keysOf(cm, pipe)
+    assert(Files.exists(cm.path(keys(3)).resolve("_ref")))
+    keys.indices.foreach(k => assertLoadsAsInferred(cm, keys(k), s"cache-mode entry $k"))
+    val resumed = new CacheManager(spark, cm.dir)
+    keys.indices.foreach(k => assertLoadsAsInferred(resumed, keys(k), s"entry $k read by a fresh manager"))
+    val cp = newManager(CacheManager.ModeCheckpoint)
+    val cpPipe = Pipeline(chainOps, cache = Some(cp))
+    cpPipe.run(df).count()
+    assert(cp.entries.size == 2)
+    cp.entries.foreach(k => assertLoadsAsInferred(cp, k, s"checkpoint-mode entry $k"))
+  }
+
+  test("a cold cached fusion14 run on jsonl input starts at most the uncached run's Spark jobs + 2") {
+    import repro.corpus.TextGen
+    val fig9Mix: TextGen.Mix = Seq(
+      "clean" -> 0.6, "html" -> 0.1, "gibberish" -> 0.1, "boilerplate" -> 0.1, "repeat" -> 0.1)
+    val dir = Files.createTempDirectory("fig9")
+    val input = dir.resolve("in").toString
+    TextGen.docs(spark, fig9Mix, 500, seed = 637L, docWords = 220).select(Schema.Text).write.json(input)
+    val recipe = repro.exp.Recipes.fusion14
+    def run(cache: Option[CacheManager], out: String): Int = countJobs {
+      recipe.pipeline(fuse = true, reorder = true, cache = cache)
+        .run(Formatters.JsonlFormatter(input).load(spark)).write.parquet(dir.resolve(out).toString)
+    }._1
+    val uncached = run(None, "plain")
+    val cached = run(Some(newManager()), "cached")
+    info(s"Spark jobs: uncached $uncached, cold cached $cached")
+    assert(cached <= uncached + 2, s"cold cached run started $cached jobs, uncached $uncached")
+  }
+
   test("a cached fusion14 run stays within the Appendix A.2 cache-mode space bound") {
     import repro.corpus.TextGen
     val docs = (0 until 1200).map { i =>

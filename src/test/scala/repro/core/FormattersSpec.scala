@@ -37,6 +37,42 @@ class FormattersSpec extends SparkSpec with TestData {
     assert(rows(0).getAs[Map[String, String]](Schema.Meta) == Map("lang" -> "EN", "src" -> "web"))
   }
 
+  private def jsonl(lines: String*): String = {
+    val file = java.nio.file.Paths.get(tmpDir("jsonl"), "d.jsonl")
+    Files.writeString(file, lines.mkString("", "\n", "\n"))
+    file.toString
+  }
+
+  test("jsonl formatter reads its declared keys without a Spark job") {
+    val path = jsonl("""{"text": "one", "lang": "EN", "n": 1}""", """{"text": "two", "extra": [1, 2]}""")
+    val (jobs, df) = countJobs(Formatters.JsonlFormatter(path, metaKeys = Seq("lang")).load(spark))
+    assert(jobs == 0, s"load started $jobs Spark jobs")
+    assert(df.columns.toSeq == Schema.columns)
+    assert(texts(df.orderBy(Schema.Text)).sorted == Seq("one", "two"))
+  }
+
+  test("jsonl formatter reads a non-string meta value as its JSON text, and an absent one as no entry") {
+    val path = jsonl(
+      """{"text": "a", "n": 5, "obj": {"a": 1}, "lang": "EN"}""",
+      """{"text": "b", "n": 2.5, "obj": {"a": 2, "b": [true, null]}}""")
+    val df = Formatters.JsonlFormatter(path, metaKeys = Seq("n", "obj", "lang")).load(spark)
+    val metas = df.collect().map(r => r.getAs[String](Schema.Text) -> r.getAs[Map[String, String]](Schema.Meta)).toMap
+    // The text as the file spells it, not a cast of an inferred type
+    // (inference read "5.0" and "{1}" here).
+    assert(metas("a") == Map("n" -> "5", "obj" -> """{"a": 1}""", "lang" -> "EN"))
+    assert(metas("b") == Map("n" -> "2.5", "obj" -> """{"a": 2, "b": [true, null]}"""))
+  }
+
+  test("jsonl formatter fails at the first action on a record without the text key, naming the key and file") {
+    val path = jsonl("""{"content": "hello world"}""", """{"content": "second doc"}""")
+    val df = Formatters.JsonlFormatter(path).load(spark)
+    val e = intercept[Exception](df.collect())
+    assert(e.getMessage.contains("'text'") && e.getMessage.contains("d.jsonl"), e.getMessage)
+    // One record without it, or with a null text, or a line that is not JSON, fails the same way.
+    for (bad <- Seq("""{"content": "x"}""", """{"text": null}""", """{"text": "unterminated"""))
+      intercept[Exception](Formatters.JsonlFormatter(jsonl("""{"text": "fine"}""", bad)).load(spark).collect())
+  }
+
   test("csv formatter loads header files") {
     val dir = tmpDir("csv")
     val f = new java.io.PrintWriter(s"$dir/d.csv")

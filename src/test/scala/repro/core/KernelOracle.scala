@@ -7,7 +7,10 @@ import java.text.Normalizer
   * the string-building n-gram repetition stats. [[KernelSpec]] checks the
   * production kernels against them, string for string and bit for bit.
   *
-  * Nothing here may change: a kernel that changes meaning must fail the spec.
+  * Nothing here changes unless a kernel's meaning changes on purpose, with a
+  * test that pins the new meaning: any other change of meaning must fail the
+  * spec. `removeLongWords` changed once so, to keep the lines and tabs
+  * around a dropped word.
   * The invisible characters of the mojibake patterns are spelled as escapes
   * (U+009D ends the second alternative).
   */
@@ -43,11 +46,24 @@ object KernelOracle {
       .replaceAll("&lt;", "<").replaceAll("&gt;", ">")
       .replaceAll("&quot;", "\"").replaceAll("&#\\d+;", "")
 
-  def removeLongWords(text: String, maxLen: Int): String =
-    text.split("(?<= )|(?=\\s)").filter { tok =>
-      tok.isEmpty || tok.forall(Character.isWhitespace) || tok.trim.length <= maxLen
-    }.mkString("")
-      .replaceAll("[ ]{2,}", " ")
+  /** Lines, tab segments and space-separated words, as Data-Juicer splits
+    * and merges them. In a segment that loses a word its empty words go
+    * too, and a segment or line that loses a word and is left blank goes
+    * with its separator.
+    */
+  def removeLongWords(text: String, maxLen: Int): String = {
+    val long = s"\\S{${maxLen + 1}}".r
+    def holdsLong(s: String) = long.findFirstIn(s).isDefined
+    def cut(s: String, seps: List[String]): Option[String] = {
+      val kept = seps match {
+        case " " :: Nil => s.split(" ", -1).toSeq.filter(w => w.nonEmpty && !holdsLong(w))
+        case sep :: rest => s.split(sep, -1).toSeq.flatMap(p => if (holdsLong(p)) cut(p, rest) else Seq(p))
+        case Nil => Nil
+      }
+      if (kept.forall(_.forall(Character.isWhitespace))) None else Some(kept.mkString(seps.head))
+    }
+    (if (holdsLong(text)) cut(text, List("\n", "\t", " ")).getOrElse("") else text).replaceAll("[ ]{2,}", " ")
+  }
 
   def isCjk(c: Char): Boolean = {
     val b = Character.UnicodeBlock.of(c)

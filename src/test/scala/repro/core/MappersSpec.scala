@@ -71,6 +71,20 @@ class MappersSpec extends SparkSpec with TestData {
     assert(m.mapText("all small here") == "all small here")
   }
 
+  test("remove long words keeps the line breaks and tabs around a dropped word") {
+    val m = RemoveLongWordsMapper()
+    val long = "x" * 41
+    assert(m.mapText("a\n" + long + " b") == "a\nb")
+    assert(m.mapText(s"a $long\nb") == "a\nb")
+    assert(m.mapText(s"a\t$long\tb\n$long\nc") == "a\tb\nc")
+    assert(m.mapText(s"a\n\n$long b") == "a\n\nb")
+    // Spaces or a tab around the dropped word leave no blank line behind.
+    assert(m.mapText(s"a\n$long \nb") == "a\nb")
+    assert(m.mapText(s"a\n $long\nb") == "a\nb")
+    assert(m.mapText(s"a\n$long\t\nb") == "a\nb")
+    assert(m.mapText(s"a\n$long  c\nb") == "a\nc\nb")
+  }
+
   test("remove header mapper strips latex/markdown headers") {
     val m = RemoveHeaderMapper()
     assert(m.mapText("\\documentclass{article}\nbody text") == "body text")
